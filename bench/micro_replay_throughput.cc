@@ -5,16 +5,23 @@
 // the kernel skips outright), a cache-resident footprint (local fast
 // path), and dense bus-saturated traffic (worst case, near parity).
 //
-// The result store stays byte-deterministic — wall-clock numbers are
-// printed to the console only; the stored series carries the simulated
-// metrics and the per-workload engine-agreement verdict, and the claims
-// record that (a) the engines agreed bit-for-bit everywhere and (b) the
-// kernel replayed at >= 2x the legacy aggregate ops/sec.
+// A second series times lane replay (kAuto, 4 threads) against the serial
+// kernel on a dense cell whose lanes are independent.
+//
+// Every engine is timed as the fastest of N replays (best-of-N), alternating
+// with the engine it is compared against so both see the same host load; a
+// single descheduled replay cannot sink a gate. The result store stays
+// byte-deterministic — wall-clock numbers are printed to the console only;
+// the stored series carry the simulated metrics and the engine-agreement
+// verdicts, and the claims record that (a) the engines agreed bit-for-bit
+// everywhere, (b) the kernel replayed at >= 2x the legacy aggregate ops/sec
+// and (c) lane replay ran >= 1.5x faster than the serial kernel.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -54,23 +61,31 @@ bool metrics_equal(const sim::RunMetrics& a, const sim::RunMetrics& b) {
 
 struct EngineRun {
   sim::RunMetrics metrics;  ///< from the warmup replay
-  double seconds = 0;       ///< wall time of the timed repetitions
+  double seconds = 0;       ///< wall time of the fastest timed replay
 };
 
-EngineRun run_engine(const sim::ReplayRequest& base, sim::ReplayEngine engine,
-                     int reps) {
-  sim::ReplayRequest request = base;
-  request.engine = engine;
-  EngineRun run;
-  run.metrics = sim::replay(request).metrics;  // warmup + verdict capture
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) {
-    (void)sim::replay(request);
+/// Replays `a` and `b` once each untimed (warmup + verdict capture), then
+/// `reps` more times alternately, keeping each one's fastest replay.
+std::pair<EngineRun, EngineRun> race(const sim::ReplayRequest& a,
+                                     const sim::ReplayRequest& b, int reps) {
+  EngineRun runs[2];
+  const sim::ReplayRequest* requests[2] = {&a, &b};
+  for (int i = 0; i < 2; ++i) {
+    runs[i].metrics = sim::replay(*requests[i]).metrics;
   }
-  run.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  return run;
+  for (int r = 0; r < reps; ++r) {
+    for (int i = 0; i < 2; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      (void)sim::replay(*requests[i]);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      if (r == 0 || seconds < runs[i].seconds) {
+        runs[i].seconds = seconds;
+      }
+    }
+  }
+  return {runs[0], runs[1]};
 }
 
 int run(bench::BenchContext& ctx) {
@@ -80,6 +95,9 @@ int run(bench::BenchContext& ctx) {
 
   const int accesses = ctx.pick(60000, 12000);
   const int reps = ctx.pick(5, 2);
+  // Lane replay's replays are short and need four idle hardware threads at
+  // once, so its best-of-N draws more samples.
+  const int lane_reps = 16;
 
   struct Workload {
     const char* name = "";
@@ -109,6 +127,7 @@ int run(bench::BenchContext& ctx) {
       "repo evaluation; kernel contract in src/sim/kernel.h"));
   res.meta().set_param("accesses", std::to_string(accesses));
   res.meta().set_param("reps", std::to_string(reps));
+  res.meta().set_param("lane_reps", std::to_string(lane_reps));
   results::Series& series = res.add_series(
       "replay_cells",
       {{"workload", results::ColumnType::kText, results::ColumnKind::kExact,
@@ -135,14 +154,14 @@ int run(bench::BenchContext& ctx) {
         workload.cores, options, 0x7e9);
     const core::ExperimentSetup setup =
         core::make_paper_setup(workload.notation, 4);
-    sim::ReplayRequest request;
-    request.setup = &setup;
-    request.workload.per_core = &traces;
+    sim::ReplayRequest kernel_request;
+    kernel_request.setup = &setup;
+    kernel_request.workload.per_core = &traces;
+    kernel_request.engine = sim::ReplayEngine::kKernel;
+    sim::ReplayRequest legacy_request = kernel_request;
+    legacy_request.engine = sim::ReplayEngine::kLegacy;
 
-    const EngineRun kernel =
-        run_engine(request, sim::ReplayEngine::kKernel, reps);
-    const EngineRun legacy =
-        run_engine(request, sim::ReplayEngine::kLegacy, reps);
+    const auto [kernel, legacy] = race(kernel_request, legacy_request, reps);
     const bool match = metrics_equal(kernel.metrics, legacy.metrics);
     all_match = all_match && match;
     kernel_seconds += kernel.seconds;
@@ -150,10 +169,8 @@ int run(bench::BenchContext& ctx) {
 
     const std::int64_t ops =
         static_cast<std::int64_t>(workload.cores) * accesses;
-    const double kernel_rate =
-        kernel.seconds > 0 ? ops * reps / kernel.seconds : 0;
-    const double legacy_rate =
-        legacy.seconds > 0 ? ops * reps / legacy.seconds : 0;
+    const double kernel_rate = kernel.seconds > 0 ? ops / kernel.seconds : 0;
+    const double legacy_rate = legacy.seconds > 0 ? ops / legacy.seconds : 0;
     std::printf("%-10s %9.2f Mops/s kernel | %9.2f Mops/s legacy | %5.2fx%s\n",
                 workload.name, kernel_rate / 1e6, legacy_rate / 1e6,
                 kernel_rate > 0 && legacy_rate > 0
@@ -171,16 +188,17 @@ int run(bench::BenchContext& ctx) {
 
   const double speedup =
       kernel_seconds > 0 ? legacy_seconds / kernel_seconds : 0;
-  std::printf("aggregate: %.2fx kernel over legacy (%.3fs vs %.3fs wall)\n",
-              speedup, kernel_seconds, legacy_seconds);
+  std::printf(
+      "aggregate: %.2fx kernel over legacy (%.3fs vs %.3fs wall, best of "
+      "%d per workload)\n",
+      speedup, kernel_seconds, legacy_seconds, reps);
 
-  // --- parallel engine regime ---------------------------------------------
-  // Dense, compose-eligible cell (private set-disjoint partitions, disjoint
-  // per-lane data, fixed-latency DRAM): the parallel engine's solo
-  // pre-pass + one verification round must beat the serial kernel by
-  // >= 1.5x at 4 worker threads. Wall-clock goes to the console only; the
-  // stored row carries the simulated metrics and the reconciliation
-  // accounting, all deterministic.
+  // --- lane replay regime -------------------------------------------------
+  // Dense cell with independent lanes (private set-disjoint partitions,
+  // disjoint per-lane data, fixed-latency DRAM, static program): kAuto at
+  // 4 threads replays the four lanes in isolation and must beat the serial
+  // kernel by >= 1.5x. Wall-clock goes to the console only; the stored row
+  // carries the simulated metrics and the lane count, all deterministic.
   results::Series& parallel_series = res.add_series(
       "parallel_replay",
       {{"workload", results::ColumnType::kText, results::ColumnKind::kExact,
@@ -193,8 +211,6 @@ int run(bench::BenchContext& ctx) {
         "cycles"},
        {"segments", results::ColumnType::kInt, results::ColumnKind::kExact,
         "segments"},
-       {"reexecutions", results::ColumnType::kInt,
-        results::ColumnKind::kExact, "runs"},
        {"engines_match", results::ColumnType::kInt,
         results::ColumnKind::kExact, "bool"}});
   {
@@ -205,15 +221,16 @@ int run(bench::BenchContext& ctx) {
     const std::vector<core::Trace> traces =
         sim::make_disjoint_random_workload(4, options, 0x7e9);
     const core::ExperimentSetup setup = core::make_paper_setup("P(8,4)", 4);
-    sim::ReplayRequest request;
-    request.setup = &setup;
-    request.workload.per_core = &traces;
+    sim::ReplayRequest serial_request;
+    serial_request.setup = &setup;
+    serial_request.workload.per_core = &traces;
+    serial_request.engine = sim::ReplayEngine::kKernel;
+    sim::ReplayRequest lane_request = serial_request;
+    lane_request.engine = sim::ReplayEngine::kAuto;
+    lane_request.options.cell_threads = 4;
 
-    const EngineRun serial =
-        run_engine(request, sim::ReplayEngine::kKernel, reps);
-    request.options.cell_threads = 4;
-    const EngineRun parallel =
-        run_engine(request, sim::ReplayEngine::kParallel, reps);
+    const auto [serial, parallel] =
+        race(serial_request, lane_request, lane_reps);
     const bool match = metrics_equal(parallel.metrics, serial.metrics);
     const double parallel_speedup =
         parallel.seconds > 0 ? serial.seconds / parallel.seconds : 0;
@@ -233,11 +250,10 @@ int run(bench::BenchContext& ctx) {
     const unsigned hw = std::thread::hardware_concurrency();
     const bool measurable = hw >= 4 && !instrumented;
     std::printf(
-        "parallel_dense: %.2fx over serial kernel at 4 threads "
-        "(%.3fs vs %.3fs wall, %lld segments, %lld re-executions)%s%s\n",
-        parallel_speedup, parallel.seconds, serial.seconds,
+        "parallel_dense: %.2fx lane replay over serial kernel at 4 threads "
+        "(%.3fs vs %.3fs wall, best of %d, %lld lanes)%s%s\n",
+        parallel_speedup, parallel.seconds, serial.seconds, lane_reps,
         static_cast<long long>(parallel.metrics.parallel_segments),
-        static_cast<long long>(parallel.metrics.parallel_reexecutions),
         measurable ? ""
                    : "  [speedup gate skipped: < 4 hardware threads or "
                      "sanitizer build]",
@@ -251,10 +267,11 @@ int run(bench::BenchContext& ctx) {
          results::Value::of_int(
              static_cast<std::int64_t>(parallel.metrics.makespan)),
          results::Value::of_int(parallel.metrics.parallel_segments),
-         results::Value::of_int(parallel.metrics.parallel_reexecutions),
          results::Value::of_int(match ? 1 : 0)});
+    // Four lanes must have replayed in isolation: a silent fall-back to the
+    // serial kernel would match trivially.
     res.add_claim("parallel_matches_serial",
-                  match && parallel.metrics.parallel_reexecutions == 0);
+                  match && parallel.metrics.parallel_segments == 4);
     res.add_claim("parallel_speedup_1_5x",
                   !measurable || parallel_speedup >= 1.5);
   }

@@ -41,15 +41,9 @@ class InclusiveDirectory {
     return static_cast<int>(map_.size());
   }
 
-  /// Content equality: same lines with the same sharers in the same arrival
-  /// order. unordered_map equality is bucket-order independent, and sharer
-  /// vectors are deterministic under replay. Parallel-replay reconciliation.
-  [[nodiscard]] bool operator==(const InclusiveDirectory& other) const =
-      default;
-
-  /// Parallel-replay solo composition: merges a per-lane solo run's
-  /// directory. Line sets must be disjoint (the caller gates composition on
-  /// data-disjoint workloads).
+  /// Lane-replay merge: absorbs a per-lane solo run's directory. Line sets
+  /// must be disjoint (the caller gates the merge on data-disjoint
+  /// workloads).
   void absorb(const InclusiveDirectory& other);
 
  private:

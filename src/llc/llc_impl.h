@@ -825,31 +825,7 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
   }
 }
 
-// --- parallel replay support --------------------------------------------
-
-template <typename Memory>
-bool BasicPartitionedLlc<Memory>::same_state(
-    const BasicPartitionedLlc& other) const {
-  if (mode_index_ != other.mode_index_ || sets_.size() != other.sets_.size()) {
-    return false;
-  }
-  for (std::size_t s = 0; s < sets_.size(); ++s) {
-    if (!sets_[s].same_state(other.sets_[s])) {
-      return false;
-    }
-  }
-  return entry_states_ == other.entry_states_ &&
-         directory_ == other.directory_ &&
-         sequencer_.same_state(other.sequencer_) &&
-         pending_ == other.pending_ &&
-         transition_active_ == other.transition_active_ &&
-         frozen_ == other.frozen_ && drain_queue_ == other.drain_queue_ &&
-         draining_lines_ == other.draining_lines_ &&
-         drain_remaining_ == other.drain_remaining_ &&
-         core_drain_busy_ == other.core_drain_busy_ &&
-         transition_windows_ == other.transition_windows_ &&
-         stats_ == other.stats_;
-}
+// --- lane replay support -------------------------------------------------
 
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::adopt_solo_lane(

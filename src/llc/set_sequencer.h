@@ -88,16 +88,10 @@ class SetSequencer {
 
   /// Canonical view of the ordering state: every live queue as (key, cores
   /// head-to-tail), sorted by key. Which physical QLT slot or SQ queue a set
-  /// occupies depends on allocation history, not behavior, so equality and
-  /// composition go through this form.
+  /// occupies depends on allocation history, not behavior, so the lane-replay
+  /// merge re-enqueues through this form.
   [[nodiscard]] std::vector<std::pair<SetKey, std::vector<CoreId>>> canonical()
       const;
-
-  /// True iff both sequencers impose the same ordering on the same sets
-  /// (canonical forms equal). Parallel-replay boundary reconciliation.
-  [[nodiscard]] bool same_state(const SetSequencer& other) const {
-    return canonical() == other.canonical();
-  }
 
  private:
   struct QltEntry {

@@ -18,9 +18,18 @@
 // devirtualize and inline; the virtual mem::MemoryBackend interface remains
 // the cold-path/conformance surface used by core::System.
 //
+// Lane replay: under TDM arbitration with private, set-disjoint LLC
+// partitions a lane's slot timeline depends only on its own requests. When
+// a cell's lanes are independent in that sense (see lanes_independent in
+// kernel.cc) and more than one thread is granted, each non-empty lane
+// replays alone to the horizon on its own kernel, up to `cell_threads` at
+// a time, and the final lane states are merged once into a fresh kernel
+// that is finalized. Every other cell replays on the serial kernel.
+//
 // The kernel must be bit-identical to the legacy engine for every metric in
-// RunMetrics. Anything it cannot reproduce exactly is declared ineligible
-// in sim::kernel_eligible and falls back to legacy.
+// RunMetrics (lane replay included, parallel_segments aside). Anything it
+// cannot reproduce exactly is declared ineligible in sim::kernel_eligible
+// and falls back to legacy.
 #ifndef PSLLC_SIM_KERNEL_H_
 #define PSLLC_SIM_KERNEL_H_
 
@@ -28,10 +37,13 @@
 
 namespace psllc::sim {
 
-/// Replays a kernel-eligible request. Precondition: kernel_eligible(request)
+/// Replays a kernel-eligible request: lane replay with up to `cell_threads`
+/// worker threads when cell_threads > 1 and the lanes are independent, the
+/// serial kernel otherwise. Precondition: kernel_eligible(request)
 /// (replay() enforces this; calling it directly with an ineligible request
 /// is an assertion failure).
-[[nodiscard]] RunMetrics run_kernel(const ReplayRequest& request);
+[[nodiscard]] RunMetrics run_kernel(const ReplayRequest& request,
+                                    int cell_threads = 1);
 
 }  // namespace psllc::sim
 

@@ -9,7 +9,6 @@
 #include "common/log.h"
 #include "core/system.h"
 #include "sim/kernel.h"
-#include "sim/parallel_replay.h"
 
 namespace psllc::sim {
 
@@ -80,11 +79,7 @@ RunMetrics run_legacy(const ReplayRequest& request) {
 }  // namespace
 
 bool kernel_eligible(const ReplayRequest& request) {
-  return request.engine != ReplayEngine::kLegacy && parallel_eligible(request);
-}
-
-bool parallel_eligible(const ReplayRequest& request) {
-  if (request.setup == nullptr) {
+  if (request.setup == nullptr || request.engine == ReplayEngine::kLegacy) {
     return false;
   }
   // Record retention exposes the legacy presentation order (record ids are
@@ -124,13 +119,6 @@ int effective_cell_threads(const RunOptions& options) {
 
 ReplayResult replay(const ReplayRequest& request) {
   validate_request(request);
-  if (request.engine == ReplayEngine::kParallel) {
-    PSLLC_CONFIG_CHECK(parallel_eligible(request),
-                       "replay engine forced to parallel, but the request is "
-                       "not parallel-eligible");
-    return {run_parallel(request, effective_cell_threads(request.options)),
-            true};
-  }
   if (request.engine == ReplayEngine::kKernel) {
     PSLLC_CONFIG_CHECK(kernel_eligible(request),
                        "replay engine forced to kernel, but the request is "
@@ -138,11 +126,8 @@ ReplayResult replay(const ReplayRequest& request) {
     return {run_kernel(request), true};
   }
   if (kernel_eligible(request)) {
-    const int threads = effective_cell_threads(request.options);
-    if (threads > 1) {
-      return {run_parallel(request, threads), true};
-    }
-    return {run_kernel(request), true};
+    return {run_kernel(request, effective_cell_threads(request.options)),
+            true};
   }
   return {run_legacy(request), false};
 }

@@ -4,7 +4,8 @@
 // runner used to carry three near-identical "build traces, build a System,
 // run, collect metrics" code paths. They now all describe the work as a
 // ReplayRequest and call replay(), which routes the cell either through the
-// tight struct-of-arrays replay kernel (sim/kernel.h) or through the legacy
+// tight struct-of-arrays replay kernel (sim/kernel.h; lane replay on
+// independent lanes when cell_threads > 1) or through the legacy
 // core::System slot loop. Both engines are required to produce bit-identical
 // RunMetrics; the kernel is an optimization, never a semantic fork.
 #ifndef PSLLC_SIM_REPLAY_H_
@@ -21,11 +22,10 @@ namespace psllc::sim {
 
 /// Which engine replays the cell.
 enum class ReplayEngine : std::uint8_t {
-  kAuto,    ///< kernel (parallel when cell_threads > 1) when eligible,
-            ///< legacy otherwise (the default)
+  kAuto,    ///< kernel when eligible, legacy otherwise (the default); lane
+            ///< replay when cell_threads > 1 and the lanes are independent
   kKernel,  ///< force the serial kernel (throws if not eligible)
   kLegacy,  ///< force the legacy core::System slot loop
-  kParallel,  ///< force the parallel engine (throws if not eligible)
 };
 
 [[nodiscard]] constexpr const char* to_string(ReplayEngine e) {
@@ -33,7 +33,6 @@ enum class ReplayEngine : std::uint8_t {
     case ReplayEngine::kAuto: return "auto";
     case ReplayEngine::kKernel: return "kernel";
     case ReplayEngine::kLegacy: return "legacy";
-    case ReplayEngine::kParallel: return "parallel";
   }
   return "?";
 }
@@ -67,19 +66,15 @@ struct ReplayResult {
   bool used_kernel = false;  ///< which engine actually ran
 };
 
-/// True when `request` can take the kernel fast path. The kernel refuses
-/// cells that need legacy-only observability: keep_request_records (record
-/// ids depend on the legacy slot-by-slot presentation order) and debug/trace
-/// logging (the kernel skips idle slots, so it cannot reproduce the legacy
-/// per-slot log stream).
+/// True when `request` can take the kernel fast path, serial or lane replay.
+/// The kernel refuses cells that need legacy-only observability:
+/// keep_request_records (record ids depend on the legacy slot-by-slot
+/// presentation order) and debug/trace logging (the kernel skips idle slots,
+/// so it cannot reproduce the legacy per-slot log stream). A request forced
+/// to kLegacy is never kernel-eligible.
 [[nodiscard]] bool kernel_eligible(const ReplayRequest& request);
 
-/// True when `request` can take the parallel engine: the same observability
-/// restrictions as kernel_eligible (the parallel engine IS the kernel, run
-/// per segment), independent of the requested engine.
-[[nodiscard]] bool parallel_eligible(const ReplayRequest& request);
-
-/// Worker-thread count the parallel engine would use for `options`:
+/// Worker-thread count lane replay would use for `options`:
 /// options.cell_threads when >= 1, otherwise the PSLLC_CELL_THREADS
 /// environment variable (read once per process, default 1). Throws
 /// ConfigError on a malformed or non-positive environment value.
@@ -87,7 +82,8 @@ struct ReplayResult {
 
 /// Replays the cell. Engine choice per `request.engine`; the returned
 /// metrics are bit-identical between engines by contract (enforced by the
-/// differential battery in tests/test_kernel.cc and the golden gates).
+/// differential batteries in tests/test_kernel.cc and
+/// tests/test_parallel_replay.cc and the golden gates).
 [[nodiscard]] ReplayResult replay(const ReplayRequest& request);
 
 }  // namespace psllc::sim

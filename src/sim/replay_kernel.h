@@ -1,27 +1,17 @@
-// Internal shared implementation of the struct-of-arrays replay kernel.
+// Internal implementation of the struct-of-arrays replay kernel, shared by
+// the serial path and lane replay in kernel.cc. Everything here lives in
+// psllc::sim::detail and is NOT part of the public sim API — use
+// sim::replay() / sim::run_kernel().
 //
-// kernel.cc (the serial engine) and parallel_replay.cc (the speculative
-// horizon-splitting engine) both include this header; keeping one body is
-// what keeps the two engines bit-identical by construction. Everything here
-// lives in psllc::sim::detail and is NOT part of the public sim API — use
-// sim::replay() / sim::run_kernel() / sim::run_parallel().
-//
-// On top of the original single-shot run() the kernel exposes a resumable
-// span interface for the parallel engine:
-//  * start(options)        — fixes the horizon, resets the slot clock;
-//  * run_span(stop)        — replays up to (not including) slot `stop` and
-//                            settles every lane to the span boundary;
-//  * finalize()            — exit determination + metric fill;
-//  * snapshot()/restore()  — value-copy of all replay state at a boundary;
-//  * states_equal()        — observational equality between two snapshots.
-//
-// Span-splitting is exact: advance_lane is a resumable monotone fold (two
-// steps compose to one), settling to stop*W is a prefix of what the next
-// executed slot's advance would do, and the refinement's no-overshoot bound
-// guarantees no bus action or pinned transition slot below `stop` remains
-// when a span returns. The only state the split perturbs is request-id
-// assignment order — ids are bookkeeping handles, excluded from
-// states_equal and never observable in RunMetrics.
+// A replay is three steps:
+//  * start(options)     — fixes the horizon, resets the slot clock;
+//  * run_to_horizon()   — replays every slot inside the horizon;
+//  * finalize()         — exit determination + metric fill.
+// Lane replay runs each lane alone (set_workload_solo) to the horizon on its
+// own kernel, then grafts the final lane states into one fresh kernel with
+// adopt_lane() and finalizes that. Request ids are never renumbered: they
+// are bookkeeping handles, never observable in RunMetrics, and a merged
+// kernel is only finalized, never replayed further.
 #ifndef PSLLC_SIM_REPLAY_KERNEL_H_
 #define PSLLC_SIM_REPLAY_KERNEL_H_
 
@@ -115,41 +105,13 @@ class LaneCursor {
 template <typename Backend>
 class ReplayKernel {
  public:
-  /// All mutable replay state at a span boundary. Copyable (the backend's
-  /// copy constructor is the clone path), deliberately NOT copy-assignable
-  /// (MemoryBackend deletes assignment); the parallel driver holds
-  /// snapshots behind unique_ptr and copy-constructs. The embedded LLC's
-  /// memory pointer is stale inside a State — restore() rebinds it.
-  ///
-  /// Excluded on purpose: the lane cursors (immutable trace views, refilled
-  /// from `pc` on demand), `lane_size_` (workload-derived constant), and
-  /// the `lb_` refinement cache (restore() invalidates it).
-  struct State {
-    std::vector<std::uint64_t> pc;
-    std::vector<Cycle> next_ready;
-    std::vector<Cycle> finish_time;
-    std::vector<std::int64_t> done_slot;
-    std::vector<unsigned char> gap_applied;
-    std::vector<unsigned char> blocked;
-    std::vector<Addr> out_addr;
-    std::vector<AccessType> out_type;
-    std::vector<mem::PrivateCacheHierarchy> caches;
-    std::vector<bus::PendingBuffers> buffers;
-    core::RequestTracker tracker;
-    Backend memory;
-    llc::BasicPartitionedLlc<Backend> llc;
-    Cycle observed_transient_wcl = kNoCycle;
-    std::int64_t cur_slot = 0;
-    std::int64_t last_action_slot = -1;
-  };
-
   explicit ReplayKernel(const core::ExperimentSetup& setup)
       : setup_(setup),
         config_(setup.config),
         schedule_(config_.make_schedule()),
-        memory_(std::in_place, config_.dram),
+        memory_(config_.dram),
         llc_(config_.llc, setup.program, config_.mode, config_.num_cores,
-             *memory_),
+             memory_),
         tracker_(config_.num_cores, /*keep_records=*/false) {
     config_.validate();
     llc_.program().validate(config_.num_cores);
@@ -193,6 +155,10 @@ class ReplayKernel {
     }
   }
 
+  // The LLC holds a pointer to memory_, so a copy would alias the original.
+  ReplayKernel(const ReplayKernel&) = delete;
+  ReplayKernel& operator=(const ReplayKernel&) = delete;
+
   void set_workload(const ReplayWorkload& workload) {
     const int n = config_.num_cores;
     for (int c = 0; c < n; ++c) {
@@ -216,24 +182,16 @@ class ReplayKernel {
     }
   }
 
-  /// Installs only `lane`'s trace (every other lane idles). Used by the
-  /// parallel engine's solo pre-pass for compose-eligible workloads. The
-  /// tracker gets a per-lane id namespace so composed states never hold two
-  /// in-flight records with the same id.
+  /// Installs only `lane`'s trace of a per-core workload; every other lane
+  /// idles. Lane replay runs one such kernel per non-empty lane.
   void set_workload_solo(const ReplayWorkload& workload, int lane) {
     PSLLC_ASSERT(workload.per_core != nullptr,
                  "solo replay needs a per-core workload");
-    const int n = config_.num_cores;
-    for (int c = 0; c < n; ++c) {
-      const std::size_t l = static_cast<std::size_t>(c);
-      if (c == lane && l < workload.per_core->size()) {
-        cursors_[l].init_direct((*workload.per_core)[l], 0);
-      }
-      lane_size_[l] = cursors_[l].size();
-      done_slot_[l] = 0;
-    }
-    tracker_.set_id_base(1 +
-                         ((static_cast<std::uint64_t>(lane) + 1) << 32));
+    const std::size_t l = static_cast<std::size_t>(lane);
+    PSLLC_ASSERT(l < workload.per_core->size(),
+                 "solo lane " << lane << " has no trace");
+    cursors_[l].init_direct((*workload.per_core)[l], 0);
+    lane_size_[l] = cursors_[l].size();
   }
 
   /// Fixes the replay horizon and resets the slot clock to 0.
@@ -247,31 +205,21 @@ class ReplayKernel {
     last_action_slot_ = -1;
   }
 
-  [[nodiscard]] std::int64_t horizon() const { return horizon_; }
-
-  /// Single-shot serial replay — the original kernel entry point.
+  /// Single-shot serial replay.
   RunMetrics run(const RunOptions& options) {
     start(options);
-    run_span(horizon_);
+    run_to_horizon();
     return finalize();
   }
 
-  /// Replays every slot below `stop` (<= horizon), then settles all lanes
-  /// to the span boundary: stop*W for an interior boundary, the legacy
-  /// loop's deepest limit for the final span. Resumable: successive calls
-  /// with increasing stops produce the same state as one call with the
-  /// last stop — advance_lane is a resumable monotone fold, and the
-  /// refinement invariant guarantees no action below a returned span's
-  /// `stop` is ever discovered later.
-  void run_span(std::int64_t stop) {
-    PSLLC_ASSERT(stop <= horizon_, "span stop " << stop << " beyond horizon "
-                                                << horizon_);
+  /// Replays every slot inside the horizon, then settles all lanes to the
+  /// legacy loop's deepest run_until limit.
+  void run_to_horizon() {
     if (horizon_ == 0) {
       return;
     }
     const Cycle W = config_.slot_width;
     const int n = config_.num_cores;
-    const Cycle settle = stop >= horizon_ ? deepest_ : stop * W;
     for (;;) {
       // 0. Partition-mode transitions pin slots the idle-skip must not
       //    jump: while a transition drains, every slot pumps it (legacy
@@ -312,12 +260,12 @@ class ReplayKernel {
       //    smallest possible miss slot forward — never past the runner-up
       //    bound, so no lane ever overshoots the slot that ends up being
       //    executed — until every unblocked lane provably cannot act
-      //    before `action` (or the span boundary).
+      //    before `action` (or the horizon).
       for (;;) {
         // Lanes must never run past a pinned transition slot either: its
         // back-invalidations may evict private lines the lane would
         // otherwise keep hitting.
-        const std::int64_t bound = std::min(std::min(action, stop), fslot);
+        const std::int64_t bound = std::min(std::min(action, horizon_), fslot);
         std::int64_t best = kNoSlot;
         std::int64_t second = kNoSlot;
         int best_lane = -1;
@@ -347,7 +295,7 @@ class ReplayKernel {
           break;
         }
         const std::int64_t limit_slot = std::min(bound, second);
-        const Cycle limit = limit_slot >= stop ? settle : limit_slot * W;
+        const Cycle limit = limit_slot >= horizon_ ? deepest_ : limit_slot * W;
         advance_lane(best_lane, limit);
         if (blocked_[static_cast<std::size_t>(best_lane)] != 0) {
           const Cycle enq = buffers_[static_cast<std::size_t>(best_lane)]
@@ -356,7 +304,7 @@ class ReplayKernel {
           action = std::min(action, message_slot(best_lane, enq, cur_slot_));
         }
       }
-      if (std::min(action, fslot) >= stop) {
+      if (std::min(action, fslot) >= horizon_) {
         break;
       }
       if (fslot < action) {
@@ -395,13 +343,11 @@ class ReplayKernel {
       last_action_slot_ = action;
       cur_slot_ = action + 1;
     }
-    // Settle: finish the remaining local work up to the span boundary (a
-    // lane may still block here; its request lands beyond the boundary).
-    // For the final span this is the legacy loop's deepest limit; for an
-    // interior boundary it is a prefix of the advance the next span's
-    // first executed slot would perform anyway.
+    // Settle: finish the remaining local work up to the legacy loop's
+    // deepest limit (a lane may still block here; its request lands beyond
+    // the horizon).
     for (int l = 0; l < n; ++l) {
-      advance_lane(l, settle);
+      advance_lane(l, deepest_);
     }
   }
 
@@ -428,80 +374,29 @@ class ReplayKernel {
     return fill_metrics(completed, end_cycle);
   }
 
-  [[nodiscard]] State snapshot() const {
-    return State{pc_,
-                 next_ready_,
-                 finish_time_,
-                 done_slot_,
-                 gap_applied_,
-                 blocked_,
-                 out_addr_,
-                 out_type_,
-                 caches_,
-                 buffers_,
-                 tracker_,
-                 *memory_,
-                 llc_,
-                 observed_transient_wcl_,
-                 cur_slot_,
-                 last_action_slot_};
+  /// Grafts lane `lane`'s final state from `solo` — a kernel that replayed
+  /// that lane alone (set_workload_solo) to the same horizon — into this
+  /// started, never-replayed kernel. Exact only for independent lanes; the
+  /// caller (sim/kernel.cc) gates on that.
+  void adopt_lane(const ReplayKernel& solo, int lane) {
+    const std::size_t l = static_cast<std::size_t>(lane);
+    lane_size_[l] = solo.lane_size_[l];
+    pc_[l] = solo.pc_[l];
+    next_ready_[l] = solo.next_ready_[l];
+    finish_time_[l] = solo.finish_time_[l];
+    done_slot_[l] = solo.done_slot_[l];
+    gap_applied_[l] = solo.gap_applied_[l];
+    blocked_[l] = solo.blocked_[l];
+    out_addr_[l] = solo.out_addr_[l];
+    out_type_[l] = solo.out_type_[l];
+    caches_[l] = solo.caches_[l];
+    buffers_[l] = solo.buffers_[l];
+    tracker_.absorb_solo(solo.tracker_);
+    llc_.adopt_solo_lane(solo.llc_, CoreId{lane});
+    memory_.absorb_solo_counters(solo.memory_);
+    cur_slot_ = std::max(cur_slot_, solo.cur_slot_);
+    last_action_slot_ = std::max(last_action_slot_, solo.last_action_slot_);
   }
-
-  void restore(const State& s) {
-    pc_ = s.pc;
-    next_ready_ = s.next_ready;
-    finish_time_ = s.finish_time;
-    done_slot_ = s.done_slot;
-    gap_applied_ = s.gap_applied;
-    blocked_ = s.blocked;
-    out_addr_ = s.out_addr;
-    out_type_ = s.out_type;
-    caches_ = s.caches;
-    buffers_ = s.buffers;
-    tracker_ = s.tracker;
-    // The backend deletes copy assignment; re-emplace and repoint the LLC
-    // at the fresh copy (the snapshot's embedded pointer is stale).
-    memory_.emplace(s.memory);
-    llc_ = s.llc;
-    llc_.rebind_memory(*memory_);
-    observed_transient_wcl_ = s.observed_transient_wcl;
-    cur_slot_ = s.cur_slot;
-    last_action_slot_ = s.last_action_slot;
-    std::fill(lb_valid_.begin(), lb_valid_.end(), 0);
-  }
-
-  /// Observational equality between two snapshots: everything that can
-  /// influence future replay behavior or final metrics. Request ids (and
-  /// the tracker's id counter) are excluded — they are handles, unique
-  /// within a kernel, and never surface in RunMetrics.
-  [[nodiscard]] static bool states_equal(const State& a, const State& b) {
-    if (a.pc != b.pc || a.next_ready != b.next_ready ||
-        a.finish_time != b.finish_time || a.done_slot != b.done_slot ||
-        a.gap_applied != b.gap_applied || a.blocked != b.blocked ||
-        a.out_addr != b.out_addr || a.out_type != b.out_type ||
-        a.observed_transient_wcl != b.observed_transient_wcl ||
-        a.cur_slot != b.cur_slot ||
-        a.last_action_slot != b.last_action_slot ||
-        a.caches.size() != b.caches.size() ||
-        a.buffers.size() != b.buffers.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < a.caches.size(); ++i) {
-      if (!a.caches[i].same_state(b.caches[i])) {
-        return false;
-      }
-    }
-    for (std::size_t i = 0; i < a.buffers.size(); ++i) {
-      if (!a.buffers[i].same_state(b.buffers[i])) {
-        return false;
-      }
-    }
-    return a.tracker.same_state(b.tracker) && a.memory.same_state(b.memory) &&
-           a.llc.same_state(b.llc);
-  }
-
-  [[nodiscard]] const core::ExperimentSetup& setup() const { return setup_; }
-  [[nodiscard]] const core::SystemConfig& config() const { return config_; }
 
  private:
   /// First slot >= cur_slot owned by lane `l` whose start is at or after
@@ -763,7 +658,7 @@ class ReplayKernel {
       metrics.makespan = makespan;
     }
     metrics.llc_stats = llc_.stats();
-    metrics.memory = memory_->counters();
+    metrics.memory = memory_.counters();
     metrics.dram_reads = metrics.memory.reads;
     metrics.dram_writes = metrics.memory.writes;
     return metrics;
@@ -772,14 +667,12 @@ class ReplayKernel {
   const core::ExperimentSetup& setup_;
   const core::SystemConfig& config_;
   bus::TdmSchedule schedule_;
-  /// Held in an optional so restore() can re-emplace: the backend models
-  /// delete copy assignment (clone-by-copy-construction only).
-  std::optional<Backend> memory_;
+  Backend memory_;
   llc::BasicPartitionedLlc<Backend> llc_;
   core::RequestTracker tracker_;
   Cycle observed_transient_wcl_ = kNoCycle;
 
-  // Span bookkeeping (fixed by start(), advanced by run_span()).
+  // Slot clock (fixed by start(), advanced by run_to_horizon()).
   std::int64_t horizon_ = 0;
   Cycle deepest_ = 0;
   std::int64_t cur_slot_ = 0;

@@ -37,23 +37,20 @@ struct RunMetrics {
   mem::MemoryCounters memory;
   std::int64_t dram_reads = 0;   ///< == memory.reads
   std::int64_t dram_writes = 0;  ///< == memory.writes
-  // --- parallel replay diagnostics (0 for the serial engines) ---
-  /// Horizon segments the parallel engine split the run into.
+  /// Lanes replayed in isolation by lane replay; 0 on the serial paths.
   std::int64_t parallel_segments = 0;
-  /// Segment re-executions the reconciliation sweep needed beyond the first
-  /// pass (0 when every speculative boundary guess was exact).
-  std::int64_t parallel_reexecutions = 0;
 };
 
 struct RunOptions {
   /// Safety horizon; a run that does not finish within it reports
   /// completed == false (used deliberately by the unbounded scenario).
   Cycle max_cycles = 2'000'000'000;
-  /// Worker threads for the parallel replay engine. 0 (the default) defers
-  /// to the PSLLC_CELL_THREADS environment variable (itself defaulting to
-  /// 1); >= 1 is an explicit count. 1 replays serially. Only consulted when
-  /// the engine is kAuto or kParallel — kKernel/kLegacy always run serial,
-  /// so forced-engine timings stay comparable.
+  /// Worker threads for lane replay. 0 (the default) defers to the
+  /// PSLLC_CELL_THREADS environment variable (itself defaulting to 1); >= 1
+  /// is an explicit count. 1 replays serially; > 1 replays each lane of an
+  /// independent-lanes cell alone, that many lanes at a time. Only consulted
+  /// under kAuto — kKernel/kLegacy always run serial, so forced-engine
+  /// timings stay comparable.
   int cell_threads = 0;
 };
 
