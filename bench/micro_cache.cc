@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "llc/set_sequencer.h"
-#include "mem/replacement.h"
+#include "mem/cache_set.h"
 #include "mem/set_assoc_cache.h"
 
 namespace {
@@ -34,19 +34,21 @@ BENCHMARK(BM_CacheFillEvict);
 
 void BM_VictimSelection(benchmark::State& state) {
   const auto kind = static_cast<mem::ReplacementKind>(state.range(0));
-  auto policy = mem::make_replacement_policy(kind, 16, 7);
+  mem::CacheSet set(16, kind, 7);
   for (int w = 0; w < 16; ++w) {
-    policy->on_insert(w);
+    set.insert(static_cast<LineAddr>(w), w, mem::LineState::kClean);
   }
-  const std::vector<bool> eligible(16, true);
+  // Every other way, like an LLC partition with evictions in flight.
+  const std::uint64_t eligible = 0x5555;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->select_victim(eligible));
+    benchmark::DoNotOptimize(set.select_victim(eligible));
   }
 }
 BENCHMARK(BM_VictimSelection)
     ->Arg(static_cast<int>(mem::ReplacementKind::kLru))
     ->Arg(static_cast<int>(mem::ReplacementKind::kFifo))
     ->Arg(static_cast<int>(mem::ReplacementKind::kRandom))
+    ->Arg(static_cast<int>(mem::ReplacementKind::kNmru))
     ->Arg(static_cast<int>(mem::ReplacementKind::kTreePlru));
 
 void BM_SetSequencerCycle(benchmark::State& state) {

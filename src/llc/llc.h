@@ -247,8 +247,9 @@ class BasicPartitionedLlc {
 
   /// Model invariant sweep for property tests: pending-ack counts match
   /// directory state, pending flags only on valid lines, sequencer queues
-  /// only contain cores with pending requests. Throws AssertionError on
-  /// violation.
+  /// only contain cores with a pending request under that queue's key, and
+  /// every line the directory tracks is resident (inclusion). Throws
+  /// AssertionError on violation.
   void check_invariants() const;
 
   // --- statistics --------------------------------------------------------
@@ -291,7 +292,10 @@ class BasicPartitionedLlc {
   /// includes pending-invalidation entries), or -1.
   [[nodiscard]] int find_way_raw(const PartitionSpec& spec, int physical_set,
                                  LineAddr line) const;
-  /// Invalid way within the partition's way range, or -1.
+  /// Invalid, unfrozen ways within the partition's way range.
+  [[nodiscard]] std::uint64_t free_ways_mask(const PartitionSpec& spec,
+                                             int physical_set) const;
+  /// Lowest invalid, unfrozen way within the partition's way range, or -1.
   [[nodiscard]] int find_free_way(const PartitionSpec& spec,
                                   int physical_set) const;
   [[nodiscard]] int count_free_ways(const PartitionSpec& spec,
@@ -308,12 +312,16 @@ class BasicPartitionedLlc {
   WritebackOutcome apply_back_inval_ack(CoreId core, LineAddr line,
                                         bool dirty_data, Cycle now);
 
+  /// Valid ways of `spec`'s range in `physical_set` that are neither
+  /// pending invalidation nor draining: the eviction candidates.
+  [[nodiscard]] std::uint64_t evictable_ways(const PartitionSpec& spec,
+                                             int physical_set) const;
+
   // --- transition internals ----------------------------------------------
-  [[nodiscard]] bool slot_frozen(int physical_set, int way) const {
-    return !frozen_.empty() &&
-           frozen_[static_cast<std::size_t>(physical_set) *
-                       static_cast<std::size_t>(config_.geometry.num_ways) +
-                   static_cast<std::size_t>(way)];
+  /// Frozen ways of `physical_set` (0 outside a transition).
+  [[nodiscard]] std::uint64_t frozen_ways(int physical_set) const {
+    return frozen_.empty() ? 0
+                           : frozen_[static_cast<std::size_t>(physical_set)];
   }
   /// (set, way) of `line` anywhere in the cache, or (-1, -1). Acks and
   /// write-backs issued before a mode switch may reference pre-transition
@@ -333,13 +341,14 @@ class BasicPartitionedLlc {
   ContentionMode mode_;
   Memory* memory_;
   std::vector<mem::CacheSet> sets_;
-  std::vector<std::vector<EntryState>> entry_states_;
+  std::vector<EntryState> entry_states_;  ///< sets x ways, set-major
   InclusiveDirectory directory_;
   SetSequencer sequencer_;
   std::vector<std::optional<Pending>> pending_;
   // Transition state (empty/false for static programs).
   bool transition_active_ = false;
-  std::vector<bool> frozen_;  ///< sets x ways; non-empty only mid-transition
+  /// Per-set frozen-way masks; non-empty only mid-transition.
+  std::vector<std::uint64_t> frozen_;
   std::vector<std::pair<int, int>> drain_queue_;  ///< (set, way) scan order
   std::set<LineAddr> draining_lines_;
   int drain_remaining_ = 0;

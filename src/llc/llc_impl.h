@@ -10,11 +10,12 @@
 #error "llc_impl.h must be included via llc/llc.h"
 #endif
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/log.h"
 #include "common/rng.h"
-#include "mem/replacement.h"
 
 namespace psllc::llc {
 
@@ -32,6 +33,9 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
       core_drain_busy_(static_cast<std::size_t>(num_cores), 0) {
   config_.validate();
   PSLLC_CONFIG_CHECK(num_cores > 0, "need >=1 core");
+  PSLLC_CONFIG_CHECK(num_cores <= InclusiveDirectory::kMaxCores,
+                     "at most " << InclusiveDirectory::kMaxCores
+                                << " cores supported, got " << num_cores);
   PSLLC_CONFIG_CHECK(program_.num_modes() > 0, "partition program is empty");
   PSLLC_CONFIG_CHECK(
       program_.geometry().num_sets == config_.geometry.num_sets &&
@@ -39,16 +43,16 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
           program_.geometry().line_bytes == config_.geometry.line_bytes,
       "partition program geometry differs from LLC geometry");
   sets_.reserve(static_cast<std::size_t>(config_.geometry.num_sets));
-  entry_states_.reserve(static_cast<std::size_t>(config_.geometry.num_sets));
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    sets_.emplace_back(config_.geometry.num_ways,
-                       mem::make_replacement_policy(
-                           config_.replacement, config_.geometry.num_ways,
-                           mix_seed(config_.seed,
-                                    static_cast<std::uint64_t>(s), 0x11c)));
-    entry_states_.emplace_back(
-        static_cast<std::size_t>(config_.geometry.num_ways));
+    sets_.emplace_back(config_.geometry.num_ways, config_.replacement,
+                       mix_seed(config_.seed, static_cast<std::uint64_t>(s),
+                                0x11c));
   }
+  entry_states_.resize(
+      static_cast<std::size_t>(config_.geometry.capacity_lines()));
+  // By inclusion every line with a private copy is resident, so the LLC's
+  // capacity bounds the directory.
+  directory_ = InclusiveDirectory(config_.geometry.capacity_lines());
 }
 
 template <typename Memory>
@@ -84,15 +88,17 @@ const mem::CacheSet& BasicPartitionedLlc<Memory>::set_at(
 template <typename Memory>
 typename BasicPartitionedLlc<Memory>::EntryState&
 BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) {
-  return entry_states_[static_cast<std::size_t>(physical_set)]
-                      [static_cast<std::size_t>(way)];
+  return entry_states_[static_cast<std::size_t>(physical_set) *
+                           static_cast<std::size_t>(config_.geometry.num_ways) +
+                       static_cast<std::size_t>(way)];
 }
 
 template <typename Memory>
 const typename BasicPartitionedLlc<Memory>::EntryState&
 BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) const {
-  return entry_states_[static_cast<std::size_t>(physical_set)]
-                      [static_cast<std::size_t>(way)];
+  return entry_states_[static_cast<std::size_t>(physical_set) *
+                           static_cast<std::size_t>(config_.geometry.num_ways) +
+                       static_cast<std::size_t>(way)];
 }
 
 template <typename Memory>
@@ -100,35 +106,51 @@ int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
                                               int physical_set,
                                               LineAddr line) const {
   const mem::CacheSet& set = set_at(physical_set);
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    if (set.way(w).valid() && set.way(w).line == line) {
+  const auto lines = set.lines();
+  for (std::uint64_t m = set.valid_mask() &
+                         mem::way_range_mask(spec.first_way, spec.num_ways);
+       m != 0; m &= m - 1) {
+    const int w = std::countr_zero(m);
+    if (lines[static_cast<std::size_t>(w)].line == line) {
       return w;
     }
   }
   return -1;
+}
+
+template <typename Memory>
+std::uint64_t BasicPartitionedLlc<Memory>::free_ways_mask(
+    const PartitionSpec& spec, int physical_set) const {
+  return ~set_at(physical_set).valid_mask() & ~frozen_ways(physical_set) &
+         mem::way_range_mask(spec.first_way, spec.num_ways);
 }
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::find_free_way(const PartitionSpec& spec,
                                                int physical_set) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    if (!set.way(w).valid() && !slot_frozen(physical_set, w)) {
-      return w;
-    }
-  }
-  return -1;
+  const std::uint64_t free = free_ways_mask(spec, physical_set);
+  return free == 0 ? -1 : std::countr_zero(free);
 }
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::count_free_ways(const PartitionSpec& spec,
                                                  int physical_set) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  int count = 0;
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    count += (!set.way(w).valid() && !slot_frozen(physical_set, w)) ? 1 : 0;
+  return std::popcount(free_ways_mask(spec, physical_set));
+}
+
+template <typename Memory>
+std::uint64_t BasicPartitionedLlc<Memory>::evictable_ways(
+    const PartitionSpec& spec, int physical_set) const {
+  std::uint64_t eligible = set_at(physical_set).valid_mask() &
+                           mem::way_range_mask(spec.first_way, spec.num_ways);
+  for (std::uint64_t m = eligible; m != 0; m &= m - 1) {
+    const int w = std::countr_zero(m);
+    const EntryState& state = entry_state(physical_set, w);
+    if (state.pending_inval || state.draining) {
+      eligible &= ~(std::uint64_t{1} << w);
+    }
   }
-  return count;
+  return eligible;
 }
 
 template <typename Memory>
@@ -281,17 +303,8 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
     }
     // Select a victim among valid, not-already-pending ways of this
     // partition.
-    std::vector<bool> eligible(
-        static_cast<std::size_t>(config_.geometry.num_ways), false);
-    bool any = false;
-    for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-      if (set.way(w).valid() && !entry_state(pset, w).pending_inval &&
-          !entry_state(pset, w).draining) {
-        eligible[static_cast<std::size_t>(w)] = true;
-        any = true;
-      }
-    }
-    if (!any) {
+    const std::uint64_t eligible = evictable_ways(spec, pset);
+    if (eligible == 0) {
       break;  // every line is already being evicted
     }
     const int victim = set.select_victim(eligible);
@@ -515,7 +528,6 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::preload(LineAddr line,
                                           const std::vector<CoreId>& sharers,
                                           bool dirty) {
-  PSLLC_ASSERT(!sharers.empty() || true, "");
   // Map through the partition of the first sharer, or partition 0 when the
   // line has no private copies.
   const int pid = sharers.empty() ? 0 : partition_of_checked(sharers.front());
@@ -540,11 +552,9 @@ template <typename Memory>
 std::pair<int, int> BasicPartitionedLlc<Memory>::locate_line(
     LineAddr line) const {
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    const mem::CacheSet& set = set_at(s);
-    for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (set.way(w).valid() && set.way(w).line == line) {
-        return {s, w};
-      }
+    const int w = set_at(s).find(line);
+    if (w >= 0) {
+      return {s, w};
     }
   }
   return {-1, -1};
@@ -607,9 +617,7 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   // at the drain fence.
   const PartitionMap& from = program_.mode(mode_index_ - 1).map;
   const PartitionMap& to = program_.mode(mode_index_).map;
-  frozen_.assign(static_cast<std::size_t>(config_.geometry.num_sets) *
-                     static_cast<std::size_t>(config_.geometry.num_ways),
-                 false);
+  frozen_.assign(static_cast<std::size_t>(config_.geometry.num_sets), 0);
   auto covering = [](const PartitionMap& map, int s, int w) {
     for (int p = 0; p < map.num_partitions(); ++p) {
       if (map.spec(p).contains_set(s) && map.spec(p).contains_way(w)) {
@@ -636,9 +644,7 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
       if (assignment_changed(s, w)) {
-        frozen_[static_cast<std::size_t>(s) *
-                    static_cast<std::size_t>(config_.geometry.num_ways) +
-                static_cast<std::size_t>(w)] = true;
+        frozen_[static_cast<std::size_t>(s)] |= std::uint64_t{1} << w;
       }
     }
   }
@@ -809,20 +815,29 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
       }
     }
   }
-  // Every sequencer waiter must have a matching pending request.
-  for (std::size_t c = 0; c < pending_.size(); ++c) {
-    const auto& pending = pending_[c];
-    if (!pending) {
-      continue;
-    }
-    const SetKey key{pending->partition, pending->physical_set};
-    if (mode_ == ContentionMode::kSetSequencer) {
-      // A pending request is queued only after its first blocked
-      // presentation; being unqueued is legal, double-queuing is not
-      // (enforced by SetSequencer::enqueue).
-      (void)key;
+  // Every sequencer waiter must have a pending request under the queue's
+  // key. (A pending request is queued only after its first blocked
+  // presentation, so an unqueued pending request is legal.)
+  for (const auto& [key, cores] : sequencer_.canonical()) {
+    for (const CoreId c : cores) {
+      const auto& pending = pending_[static_cast<std::size_t>(c.value)];
+      PSLLC_ASSERT(pending.has_value(),
+                   to_string(c) << " queued at set " << key.physical_set
+                                << " without a pending request");
+      PSLLC_ASSERT((SetKey{pending->partition, pending->physical_set} == key),
+                   to_string(c) << " queued at (partition " << key.partition
+                                << ", set " << key.physical_set
+                                << ") but pending at (partition "
+                                << pending->partition << ", set "
+                                << pending->physical_set << ")");
     }
   }
+  // Inclusion: every line with a private copy is resident in the LLC.
+  directory_.for_each_line([this](LineAddr line, std::uint64_t) {
+    PSLLC_ASSERT(locate_line(line).first >= 0,
+                 "directory tracks line 0x" << std::hex << line
+                                            << " absent from the LLC");
+  });
 }
 
 // --- lane replay support -------------------------------------------------
@@ -837,9 +852,10 @@ void BasicPartitionedLlc<Memory>::adopt_solo_lane(
   for (int s = spec.first_set; s < spec.first_set + spec.num_sets; ++s) {
     sets_[static_cast<std::size_t>(s)] =
         solo.sets_[static_cast<std::size_t>(s)];
-    entry_states_[static_cast<std::size_t>(s)] =
-        solo.entry_states_[static_cast<std::size_t>(s)];
   }
+  const auto row = static_cast<std::ptrdiff_t>(config_.geometry.num_ways);
+  std::copy_n(solo.entry_states_.begin() + spec.first_set * row,
+              spec.num_sets * row, entry_states_.begin() + spec.first_set * row);
   pending_[static_cast<std::size_t>(core.value)] =
       solo.pending_[static_cast<std::size_t>(core.value)];
   directory_.absorb(solo.directory_);

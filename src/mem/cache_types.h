@@ -36,6 +36,10 @@ struct LineMeta {
   [[nodiscard]] bool dirty() const { return state == LineState::kDirty; }
 };
 
+/// Widest supported set: eligibility masks and per-set free/valid masks are
+/// one 64-bit word.
+inline constexpr int kMaxWays = 64;
+
 /// Shape of a set-associative cache.
 struct CacheGeometry {
   int num_sets = 1;
@@ -51,6 +55,9 @@ struct CacheGeometry {
   void validate() const {
     PSLLC_CONFIG_CHECK(num_sets > 0, "cache needs >=1 set, got " << num_sets);
     PSLLC_CONFIG_CHECK(num_ways > 0, "cache needs >=1 way, got " << num_ways);
+    PSLLC_CONFIG_CHECK(num_ways <= kMaxWays, "cache supports at most "
+                                                 << kMaxWays << " ways, got "
+                                                 << num_ways);
     PSLLC_CONFIG_CHECK(line_bytes > 0 && is_pow2(
                            static_cast<std::uint64_t>(line_bytes)),
                        "line size must be a power of two, got " << line_bytes);

@@ -10,10 +10,8 @@ SetAssocCache::SetAssocCache(const CacheGeometry& geometry,
   geometry_.validate();
   sets_.reserve(static_cast<std::size_t>(geometry_.num_sets));
   for (int s = 0; s < geometry_.num_sets; ++s) {
-    sets_.emplace_back(
-        geometry_.num_ways,
-        make_replacement_policy(replacement, geometry_.num_ways,
-                                mix_seed(seed, static_cast<std::uint64_t>(s))));
+    sets_.emplace_back(geometry_.num_ways, replacement,
+                       mix_seed(seed, static_cast<std::uint64_t>(s)));
   }
 }
 
@@ -87,9 +85,9 @@ int SetAssocCache::valid_lines() const {
 std::vector<LineAddr> SetAssocCache::resident_lines() const {
   std::vector<LineAddr> lines;
   for (const auto& set : sets_) {
-    for (int w = 0; w < set.ways(); ++w) {
-      if (set.way(w).valid()) {
-        lines.push_back(set.way(w).line);
+    for (const LineMeta& meta : set.lines()) {
+      if (meta.valid()) {
+        lines.push_back(meta.line);
       }
     }
   }

@@ -9,9 +9,7 @@
 namespace psllc::mem {
 namespace {
 
-CacheSet make_set(int ways) {
-  return CacheSet(ways, make_replacement_policy(ReplacementKind::kLru, ways));
-}
+CacheSet make_set(int ways) { return CacheSet(ways, ReplacementKind::kLru); }
 
 // --- CacheSet ----------------------------------------------------------------
 
@@ -52,8 +50,7 @@ TEST(CacheSet, DirtyTransitions) {
 TEST(CacheSet, VictimMaskRejectsInvalidWays) {
   CacheSet set = make_set(2);
   set.insert(0x1, 0, LineState::kClean);
-  std::vector<bool> eligible{true, true};  // way 1 is invalid
-  EXPECT_THROW((void)set.select_victim(eligible), AssertionError);
+  EXPECT_THROW((void)set.select_victim(0b11), AssertionError);  // way 1 invalid
 }
 
 TEST(CacheSet, CopyGetsIndependentPolicy) {
@@ -72,6 +69,8 @@ TEST(SetAssocCache, GeometryValidation) {
   EXPECT_THROW(SetAssocCache({0, 2, 64}, ReplacementKind::kLru), ConfigError);
   EXPECT_THROW(SetAssocCache({2, 0, 64}, ReplacementKind::kLru), ConfigError);
   EXPECT_THROW(SetAssocCache({2, 2, 48}, ReplacementKind::kLru), ConfigError);
+  EXPECT_THROW(SetAssocCache({2, 65, 64}, ReplacementKind::kLru), ConfigError);
+  EXPECT_NO_THROW(SetAssocCache({2, 64, 64}, ReplacementKind::kLru));
 }
 
 TEST(SetAssocCache, HitUpdatesStateAndStats) {

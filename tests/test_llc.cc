@@ -2,7 +2,14 @@
 // sequencer, and the PartitionedLlc request/write-back protocol.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/assert.h"
+#include "common/rng.h"
+#include "core/system_config.h"
 #include "llc/llc.h"
 
 namespace psllc::llc {
@@ -111,6 +118,125 @@ TEST(Directory, DuplicateAddAsserts) {
   InclusiveDirectory directory;
   directory.add_sharer(0x1, CoreId{0});
   EXPECT_THROW(directory.add_sharer(0x1, CoreId{0}), AssertionError);
+}
+
+TEST(Directory, SharersAscendAndMaskMatches) {
+  InclusiveDirectory directory;
+  directory.add_sharer(0x7, CoreId{3});
+  directory.add_sharer(0x7, CoreId{0});
+  directory.add_sharer(0x7, CoreId{63});
+  EXPECT_EQ(directory.sharers(0x7),
+            (std::vector<CoreId>{CoreId{0}, CoreId{3}, CoreId{63}}));
+  EXPECT_EQ(directory.sharer_mask(0x7), (std::uint64_t{1} << 63) | 0b1001);
+  EXPECT_THROW(directory.add_sharer(0x7, CoreId{64}), AssertionError);
+}
+
+TEST(Directory, TrackingMoreThanCapacityAsserts) {
+  InclusiveDirectory directory(2);
+  directory.add_sharer(0x1, CoreId{0});
+  directory.add_sharer(0x2, CoreId{0});
+  directory.add_sharer(0x2, CoreId{1});  // same line: no new slot
+  EXPECT_THROW(directory.add_sharer(0x3, CoreId{0}), AssertionError);
+}
+
+TEST(Directory, AbsorbRejectsOverlap) {
+  InclusiveDirectory a(4);
+  InclusiveDirectory b(4);
+  a.add_sharer(0x1, CoreId{0});
+  b.add_sharer(0x1, CoreId{1});
+  EXPECT_THROW(a.absorb(b), AssertionError);
+}
+
+using DirectoryModel = std::map<LineAddr, std::set<CoreId>>;
+
+void expect_matches(const InclusiveDirectory& directory,
+                    const DirectoryModel& model,
+                    const std::vector<LineAddr>& pool) {
+  for (const LineAddr line : pool) {
+    const auto it = model.find(line);
+    const std::set<CoreId> want =
+        it == model.end() ? std::set<CoreId>{} : it->second;
+    ASSERT_EQ(directory.sharers(line),
+              std::vector<CoreId>(want.begin(), want.end()))
+        << "line 0x" << std::hex << line;
+    ASSERT_EQ(directory.sharer_count(line), static_cast<int>(want.size()));
+  }
+  ASSERT_EQ(directory.tracked_lines(), static_cast<int>(model.size()));
+  DirectoryModel seen;
+  directory.for_each_line([&](LineAddr line, std::uint64_t mask) {
+    for (int c = 0; c < InclusiveDirectory::kMaxCores; ++c) {
+      if (((mask >> c) & 1) != 0) {
+        seen[line].insert(CoreId{c});
+      }
+    }
+  });
+  ASSERT_EQ(seen, model);
+}
+
+// Differential test against an ordered map of sets. Small tables kept near
+// their line limit and a pool of lines three times that limit make probe
+// runs long, wrap past the end of the table, and force backward shifts on
+// almost every deletion.
+TEST(Directory, MatchesOrderedModelUnderRandomOps) {
+  for (const int max_lines : {1, 2, 3, 8, 32}) {
+    SCOPED_TRACE("max_lines " + std::to_string(max_lines));
+    InclusiveDirectory directory(max_lines);
+    DirectoryModel model;
+    std::vector<LineAddr> pool;
+    for (int i = 0; i < 3 * max_lines; ++i) {
+      pool.push_back(static_cast<LineAddr>(i) * 32 + 5);  // one LLC set
+    }
+    Rng rng(static_cast<std::uint64_t>(max_lines) * 7919);
+    for (int step = 0; step < 4000; ++step) {
+      const LineAddr line = pool[rng.next_below(pool.size())];
+      const CoreId core{static_cast<int>(rng.next_below(6))};
+      const std::uint64_t op = rng.next_below(10);
+      if (op < 5) {
+        const bool room = model.count(line) != 0 ||
+                          static_cast<int>(model.size()) < max_lines;
+        if (room && model[line].insert(core).second) {
+          directory.add_sharer(line, core);
+        }
+      } else if (op < 9) {
+        auto it = model.find(line);
+        const bool present = it != model.end() && it->second.erase(core) != 0;
+        if (it != model.end() && it->second.empty()) {
+          model.erase(it);
+        }
+        ASSERT_EQ(directory.remove_sharer(line, core), present);
+      } else {
+        directory.clear_line(line);
+        model.erase(line);
+      }
+      ASSERT_EQ(directory.is_shared_by(line, core),
+                model.count(line) != 0 && model[line].count(core) != 0);
+      expect_matches(directory, model, pool);
+    }
+  }
+}
+
+TEST(Directory, AbsorbMatchesModelUnion) {
+  InclusiveDirectory merged(16);
+  InclusiveDirectory lane(16);
+  DirectoryModel model;
+  std::vector<LineAddr> pool;
+  for (LineAddr i = 0; i < 16; ++i) {
+    pool.push_back(i * 64);
+    // Even lines stay in `merged`, odd ones come from `lane`.
+    InclusiveDirectory& target = i % 2 == 0 ? merged : lane;
+    for (int c = 0; c <= static_cast<int>(i % 3); ++c) {
+      target.add_sharer(i * 64, CoreId{c});
+      model[i * 64].insert(CoreId{c});
+    }
+  }
+  merged.absorb(lane);
+  expect_matches(merged, model, pool);
+  // Deleting after the merge keeps every probe run intact.
+  for (LineAddr i = 0; i < 16; i += 3) {
+    merged.clear_line(i * 64);
+    model.erase(i * 64);
+  }
+  expect_matches(merged, model, pool);
 }
 
 // --- SetSequencer ----------------------------------------------------------------
@@ -276,6 +402,32 @@ TEST(PartitionedLlc, SequencerEnforcesArrivalOrder) {
   h.llc.check_invariants();
 }
 
+// A queued core whose line another waiter fetched completes by a hit while
+// not at the head; it must leave the queue (check_invariants() requires
+// every queued core to have a pending request under that key).
+TEST(PartitionedLlc, SequencerWaiterServedByHitLeavesQueue) {
+  LlcHarness h(ContentionMode::kSetSequencer, 1, 2, 3);
+  h.llc.preload(0x1, {CoreId{0}}, false);
+  h.llc.preload(0x3, {CoreId{1}}, false);
+  EXPECT_EQ(h.llc.handle_request(CoreId{0}, 0x5, 0).status,
+            RequestOutcome::Status::kBlocked);  // evicts 0x1
+  EXPECT_EQ(h.llc.handle_request(CoreId{1}, 0x7, 50).status,
+            RequestOutcome::Status::kBlocked);  // evicts 0x3
+  EXPECT_EQ(h.llc.handle_request(CoreId{2}, 0x5, 100).status,
+            RequestOutcome::Status::kBlocked);
+  h.llc.check_invariants();
+  (void)h.llc.handle_writeback(CoreId{0}, 0x1, false, true, 150);
+  EXPECT_EQ(h.llc.handle_request(CoreId{0}, 0x5, 200).status,
+            RequestOutcome::Status::kFilled);
+  // Queue is now [c1, c2]; c2 hits on the line c0 fetched.
+  const SetKey key = h.llc.key_for(CoreId{2}, 0x5);
+  EXPECT_EQ(h.llc.handle_request(CoreId{2}, 0x5, 250).status,
+            RequestOutcome::Status::kHit);
+  EXPECT_FALSE(h.llc.sequencer().is_queued(key, CoreId{2}));
+  EXPECT_EQ(h.llc.sequencer().queue_length(key), 1);
+  h.llc.check_invariants();
+}
+
 TEST(PartitionedLlc, BestEffortAllowsStealAndCountsIt) {
   LlcHarness h(ContentionMode::kBestEffort, 1, 2, 3);
   h.llc.preload(0x1, {CoreId{2}}, false);
@@ -354,6 +506,33 @@ TEST(PartitionedLlc, DropPendingRequestCleansSequencer) {
   EXPECT_FALSE(h.llc.has_pending_request(CoreId{0}));
   EXPECT_EQ(h.llc.sequencer().active_queues(), 0);
   h.llc.check_invariants();
+}
+
+TEST(PartitionedLlc, RejectsMoreThan64WaysOrCores) {
+  mem::FixedLatencyBackend dram(mem::DramConfig{});
+  LlcConfig wide;
+  wide.geometry = mem::CacheGeometry{4, 65, 64};
+  EXPECT_THROW(wide.validate(), ConfigError);
+  wide.geometry.num_ways = 64;
+  EXPECT_NO_THROW(wide.validate());
+
+  LlcConfig config;
+  auto map_for = [&](int cores) {
+    std::vector<CoreId> sharers;
+    for (int c = 0; c < cores; ++c) {
+      sharers.emplace_back(c);
+    }
+    return make_shared_partition(config.geometry, sharers, 32, 16);
+  };
+  EXPECT_THROW(PartitionedLlc(config, map_for(65),
+                              ContentionMode::kSetSequencer, 65, dram),
+               ConfigError);
+  EXPECT_NO_THROW(PartitionedLlc(config, map_for(64),
+                                 ContentionMode::kSetSequencer, 64, dram));
+
+  core::SystemConfig system;
+  system.num_cores = 65;
+  EXPECT_THROW(system.validate(), ConfigError);
 }
 
 TEST(PartitionedLlc, RejectsMismatchedPartitionGeometry) {
