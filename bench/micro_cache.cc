@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks for the hot data structures: cache
-// lookup/fill, replacement victim selection, and the set sequencer.
+// lookup/fill, replacement victim selection, the set sequencer, and the
+// pending write-back buffer.
 #include <benchmark/benchmark.h>
 
+#include "bus/pending_buffers.h"
 #include "common/rng.h"
 #include "llc/set_sequencer.h"
 #include "mem/cache_set.h"
@@ -63,6 +65,55 @@ void BM_SetSequencerCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SetSequencerCycle);
+
+// One contended set as the LLC sees it: four cores arrive in turn, every
+// presentation asks is_queued/is_head (blocked retries), and the head is
+// served and leaves.
+void BM_SetSequencerPresentation(benchmark::State& state) {
+  llc::SetSequencer sequencer(4, 4);
+  const llc::SetKey key{1, 9};
+  for (auto _ : state) {
+    for (int c = 0; c < 4; ++c) {
+      if (!sequencer.is_queued(key, CoreId{c})) {
+        sequencer.enqueue(key, CoreId{c});
+      }
+    }
+    for (int served = 0; served < 4; ++served) {
+      for (int c = 0; c < 4; ++c) {
+        benchmark::DoNotOptimize(sequencer.is_queued(key, CoreId{c}));
+        benchmark::DoNotOptimize(sequencer.is_head(key, CoreId{c}));
+      }
+      sequencer.dequeue_head(key, CoreId{served});
+    }
+  }
+}
+BENCHMARK(BM_SetSequencerPresentation);
+
+// has_writeback_for over a full 16-entry PWB whose head has wrapped past
+// the end of the ring: one hit at the tail, one full-scan miss.
+void BM_PendingWritebackScan(benchmark::State& state) {
+  bus::PendingBuffers buffers(16);
+  auto writeback = [](LineAddr line) {
+    bus::BusMessage msg;
+    msg.kind = bus::MessageKind::kWriteBack;
+    msg.line = line;
+    return msg;
+  };
+  LineAddr line = 0;
+  for (; line < 16; ++line) {
+    buffers.push_writeback(writeback(line));
+  }
+  for (int i = 0; i < 9; ++i) {
+    (void)buffers.pop_writeback();
+    buffers.push_writeback(writeback(line++));
+  }
+  const LineAddr tail = line - 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(buffers.has_writeback_for(tail));
+    benchmark::DoNotOptimize(buffers.has_writeback_for(line));
+  }
+}
+BENCHMARK(BM_PendingWritebackScan);
 
 }  // namespace
 

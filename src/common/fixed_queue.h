@@ -60,25 +60,26 @@ class FixedQueue {
   /// Element at FIFO position i (0 == head). Precondition: i < size().
   [[nodiscard]] const T& at(int i) const {
     PSLLC_ASSERT(i >= 0 && i < size_, "queue index " << i << " size " << size_);
-    return slots_[(head_ + static_cast<std::size_t>(i)) % slots_.size()];
+    return slots_[index_of(i)];
   }
 
   /// Mutable element at FIFO position i. Precondition: i < size().
   [[nodiscard]] T& at_mut(int i) {
     PSLLC_ASSERT(i >= 0 && i < size_, "queue index " << i << " size " << size_);
-    return slots_[(head_ + static_cast<std::size_t>(i)) % slots_.size()];
+    return slots_[index_of(i)];
   }
 
   /// Removes the element at FIFO position i, preserving order of the rest.
   /// Models a CAM-style invalidate+compact; O(size).
   void erase_at(int i) {
     PSLLC_ASSERT(i >= 0 && i < size_, "queue index " << i << " size " << size_);
+    std::size_t to = index_of(i);
     for (int j = i; j + 1 < size_; ++j) {
-      slots_[(head_ + static_cast<std::size_t>(j)) % slots_.size()] =
-          std::move(slots_[(head_ + static_cast<std::size_t>(j) + 1) %
-                           slots_.size()]);
+      const std::size_t from = next(to);
+      slots_[to] = std::move(slots_[from]);
+      to = from;
     }
-    tail_ = (head_ + static_cast<std::size_t>(size_) - 1) % slots_.size();
+    tail_ = to;
     --size_;
   }
 
@@ -90,17 +91,28 @@ class FixedQueue {
   /// First FIFO position whose element satisfies `pred`, or -1.
   template <typename Pred>
   [[nodiscard]] int find_if(Pred pred) const {
+    std::size_t index = head_;
     for (int i = 0; i < size_; ++i) {
-      if (pred(at(i))) {
+      if (pred(slots_[index])) {
         return i;
       }
+      index = next(index);
     }
     return -1;
   }
 
  private:
+  // Ring indices wrap by compare-and-subtract: every sum below is less than
+  // twice the capacity, so one conditional subtraction replaces `%`.
   [[nodiscard]] std::size_t next(std::size_t i) const {
-    return (i + 1) % slots_.size();
+    ++i;
+    return i == slots_.size() ? 0 : i;
+  }
+
+  /// Ring index of FIFO position i (0 <= i < capacity()).
+  [[nodiscard]] std::size_t index_of(int i) const {
+    const std::size_t index = head_ + static_cast<std::size_t>(i);
+    return index >= slots_.size() ? index - slots_.size() : index;
   }
 
   std::vector<T> slots_;

@@ -8,6 +8,7 @@
 #ifndef PSLLC_COMMON_TYPES_H_
 #define PSLLC_COMMON_TYPES_H_
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -76,12 +77,14 @@ enum class AccessType : std::uint8_t {
 
 /// log2 of a power of two. Precondition: is_pow2(v).
 [[nodiscard]] constexpr int log2_exact(std::uint64_t v) {
-  int n = 0;
-  while (v > 1) {
-    v >>= 1;
-    ++n;
-  }
-  return n;
+  return std::countr_zero(v);
+}
+
+/// `v % n` for n > 0, as a mask when n is a power of two. Hot-path set
+/// indexing goes through this so power-of-two geometries never divide.
+[[nodiscard]] constexpr std::uint64_t mod_or_mask(std::uint64_t v,
+                                                  std::uint64_t n) {
+  return is_pow2(n) ? v & (n - 1) : v % n;
 }
 
 }  // namespace psllc

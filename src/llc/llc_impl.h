@@ -185,8 +185,12 @@ bool BasicPartitionedLlc<Memory>::may_allocate(SetKey key, CoreId core) const {
     return true;
   }
   // Set sequencer: FIFO order. A core may allocate iff nobody is queued
-  // (no contention so far) or it is at the head of the queue.
-  return !sequencer_.has_queue(key) || sequencer_.is_head(key, core);
+  // (no contention so far) or it is at the head of the queue. A queued core
+  // implies a queue, so only an unqueued core needs the QLT lookup.
+  if (sequencer_.is_queued(key, core)) {
+    return sequencer_.is_head(key, core);
+  }
+  return !sequencer_.has_queue(key);
 }
 
 template <typename Memory>

@@ -4,6 +4,8 @@
 #ifndef PSLLC_LLC_PARTITION_H_
 #define PSLLC_LLC_PARTITION_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,19 +39,18 @@ struct PartitionSpec {
   [[nodiscard]] int capacity_lines() const { return num_sets * num_ways; }
 
   /// Physical set index that `line` maps to inside this partition.
+  /// Power-of-two set counts index by mask, others by modulo.
   [[nodiscard]] int map_set(LineAddr line) const {
     const auto sets = static_cast<std::uint64_t>(num_sets);
-    std::uint64_t index = line % sets;
     if (mapping == SetMapping::kXorFold) {
-      // Fold the next group of index bits in; any deterministic
-      // line->set function is admissible for the analysis.
-      int shift = 1;
-      while ((1 << shift) < num_sets) {
-        ++shift;
-      }
-      index = (line ^ (line >> shift)) % sets;
+      // Fold the next group of index bits in (shift = ceil(log2(sets)),
+      // at least 1); any deterministic line->set function is admissible
+      // for the analysis.
+      const int shift =
+          std::max(1, static_cast<int>(std::bit_width(sets - 1)));
+      line ^= line >> shift;
     }
-    return first_set + static_cast<int>(index);
+    return first_set + static_cast<int>(mod_or_mask(line, sets));
   }
 
   [[nodiscard]] bool contains_way(int way) const {

@@ -21,16 +21,27 @@ SetSequencer::SetSequencer(int num_queues, int queue_depth) {
 void SetSequencer::enqueue(SetKey key, CoreId core) {
   PSLLC_ASSERT(key.valid(), "invalid set key");
   PSLLC_ASSERT(core.valid(), "invalid core");
+  const int current = entry_of(core);
+  PSLLC_ASSERT(current < 0,
+               to_string(core)
+                   << (qlt_[static_cast<std::size_t>(current)].key == key
+                           ? " already queued for this set"
+                           : " already waits in another set's queue (one "
+                             "outstanding request per core)"));
   int entry = find_entry(key);
   if (entry < 0) {
     entry = allocate_entry(key);
   }
-  auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
+  auto& queue = queue_of(entry);
+  // Cross-check of the core index against the queue contents.
   PSLLC_ASSERT(queue.find_if([core](CoreId c) { return c == core; }) < 0,
                to_string(core) << " already queued for this set");
   queue.push(core);
+  const auto c = static_cast<std::size_t>(core.value);
+  if (c >= core_entry_.size()) {
+    core_entry_.resize(c + 1, -1);
+  }
+  core_entry_[c] = entry;
 }
 
 int SetSequencer::find_entry(SetKey key) const {
@@ -76,59 +87,46 @@ void SetSequencer::release_entry(int entry_index) {
 
 bool SetSequencer::has_queue(SetKey key) const { return find_entry(key) >= 0; }
 
-bool SetSequencer::is_queued(SetKey key, CoreId core) const {
-  return position(key, core) >= 0;
-}
-
-bool SetSequencer::is_head(SetKey key, CoreId core) const {
-  return position(key, core) == 0;
-}
-
 int SetSequencer::queue_length(SetKey key) const {
   const int entry = find_entry(key);
   if (entry < 0) {
     return 0;
   }
-  return queues_[static_cast<std::size_t>(
-                     qlt_[static_cast<std::size_t>(entry)].queue_index)]
-      .size();
+  return queue_of(entry).size();
 }
 
 int SetSequencer::position(SetKey key, CoreId core) const {
-  const int entry = find_entry(key);
-  if (entry < 0) {
+  if (!is_queued(key, core)) {
     return -1;
   }
-  const auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
-  return queue.find_if([core](CoreId c) { return c == core; });
+  return queue_of(entry_of(core)).find_if([core](CoreId c) {
+    return c == core;
+  });
 }
 
 void SetSequencer::dequeue_head(SetKey key, CoreId core) {
-  const int entry = find_entry(key);
+  const int entry = entry_for(key, core);
   PSLLC_ASSERT(entry >= 0, "no queue for this set");
-  auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
+  auto& queue = queue_of(entry);
   PSLLC_ASSERT(!queue.empty() && queue.front() == core,
                to_string(core) << " is not at the head");
   queue.pop();
-  if (queue.empty()) {
-    release_entry(entry);
-  }
+  on_left(entry, core);
 }
 
 void SetSequencer::remove(SetKey key, CoreId core) {
-  const int entry = find_entry(key);
+  const int entry = entry_for(key, core);
   PSLLC_ASSERT(entry >= 0, "no queue for this set");
-  auto& queue =
-      queues_[static_cast<std::size_t>(qlt_[static_cast<std::size_t>(entry)]
-                                           .queue_index)];
+  auto& queue = queue_of(entry);
   const int pos = queue.find_if([core](CoreId c) { return c == core; });
   PSLLC_ASSERT(pos >= 0, to_string(core) << " not queued for this set");
   queue.erase_at(pos);
-  if (queue.empty()) {
+  on_left(entry, core);
+}
+
+void SetSequencer::on_left(int entry, CoreId core) {
+  core_entry_[static_cast<std::size_t>(core.value)] = -1;
+  if (queue_of(entry).empty()) {
     release_entry(entry);
   }
 }
@@ -139,6 +137,7 @@ void SetSequencer::clear() {
       release_entry(static_cast<int>(i));
     }
   }
+  std::fill(core_entry_.begin(), core_entry_.end(), -1);
 }
 
 int SetSequencer::active_queues() const {

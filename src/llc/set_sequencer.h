@@ -13,6 +13,11 @@
 // `num_cores` queues of depth `num_cores` suffice; both capacities are
 // enforced with assertions (exceeding them would be a model bug).
 //
+// The same one-request rule means a core waits in at most one queue
+// (asserted on enqueue). The sequencer therefore keeps a core -> QLT entry
+// index beside the QLT, so membership and head checks — asked several
+// times per presentation — are O(1) lookups instead of QLT and queue scans.
+//
 // Sets are identified by an opaque SetKey = (partition id, physical set)
 // because partitions that share a physical set (different way ranges) are
 // fully isolated and must not share ordering state.
@@ -53,11 +58,17 @@ class SetSequencer {
   [[nodiscard]] bool has_queue(SetKey key) const;
 
   /// True if `core` is somewhere in `key`'s queue.
-  [[nodiscard]] bool is_queued(SetKey key, CoreId core) const;
+  [[nodiscard]] bool is_queued(SetKey key, CoreId core) const {
+    const int entry = entry_of(core);
+    return entry >= 0 && qlt_[static_cast<std::size_t>(entry)].key == key;
+  }
 
   /// True if `core` is at the head of `key`'s queue. A set with no queue has
   /// no head (returns false).
-  [[nodiscard]] bool is_head(SetKey key, CoreId core) const;
+  [[nodiscard]] bool is_head(SetKey key, CoreId core) const {
+    return is_queued(key, core) &&
+           queue_of(entry_of(core)).front() == core;
+  }
 
   /// Number of waiters for `key` (0 when no queue).
   [[nodiscard]] int queue_length(SetKey key) const;
@@ -100,6 +111,28 @@ class SetSequencer {
     int queue_index = -1;
   };
 
+  /// QLT entry `core` waits under, or -1.
+  [[nodiscard]] int entry_of(CoreId core) const {
+    const auto c = static_cast<std::size_t>(core.value);
+    return c < core_entry_.size() ? core_entry_[c] : -1;
+  }
+  [[nodiscard]] const FixedQueue<CoreId>& queue_of(int entry) const {
+    return queues_[static_cast<std::size_t>(
+        qlt_[static_cast<std::size_t>(entry)].queue_index)];
+  }
+  [[nodiscard]] FixedQueue<CoreId>& queue_of(int entry) {
+    return queues_[static_cast<std::size_t>(
+        qlt_[static_cast<std::size_t>(entry)].queue_index)];
+  }
+  /// The entry `key`'s queue occupies, through `core`'s index when it waits
+  /// there, else by QLT lookup; -1 when `key` has no queue.
+  [[nodiscard]] int entry_for(SetKey key, CoreId core) const {
+    return is_queued(key, core) ? entry_of(core) : find_entry(key);
+  }
+  /// Bookkeeping after `core` left entry `entry`'s queue: clears its index
+  /// and releases the entry when the queue emptied.
+  void on_left(int entry, CoreId core);
+
   /// QLT lookup: index into qlt_, or -1.
   [[nodiscard]] int find_entry(SetKey key) const;
   /// Allocates a QLT entry + free queue for `key`.
@@ -109,6 +142,9 @@ class SetSequencer {
   std::vector<QltEntry> qlt_;
   std::vector<FixedQueue<CoreId>> queues_;
   std::vector<bool> queue_in_use_;
+  /// QLT entry each core waits under (-1 = not queued), indexed by core id;
+  /// grows on first enqueue of a core.
+  std::vector<int> core_entry_;
 };
 
 }  // namespace psllc::llc

@@ -68,9 +68,11 @@ struct CacheGeometry {
     return addr >> log2_exact(static_cast<std::uint64_t>(line_bytes));
   }
 
-  /// Set index of a line address (modulo mapping).
+  /// Set index of a line address (modulo mapping; a mask for power-of-two
+  /// set counts).
   [[nodiscard]] int set_of(LineAddr line) const {
-    return static_cast<int>(line % static_cast<std::uint64_t>(num_sets));
+    return static_cast<int>(
+        mod_or_mask(line, static_cast<std::uint64_t>(num_sets)));
   }
 
   [[nodiscard]] std::string to_string() const {

@@ -2,13 +2,20 @@
 //
 // The legacy core::System walks every TDM slot, calling run_until on every
 // core each slot and checking all_done between slots. The kernel replays
-// the same model event-style: it computes the exact next slot that carries
-// a bus action (an eligible PRB/PWB message, or a message a still-running
-// lane is provably about to enqueue), runs lanes forward only as far as the
-// no-overshoot bound allows, and executes action slots one by one with the
-// identical owner-pick / LLC / tracker sequence as System::step_slot. Idle
-// slots are skipped outright — which is sound because PendingBuffers::pick
-// leaves the round-robin preference untouched when nothing is eligible.
+// the same model event-style, driven by slot owners. Each lane caches one
+// candidate slot — a slot it owns: the exact slot of its earliest buffered
+// PRB/PWB message or, while it still runs, a lower bound on the slot of its
+// next request. The kernel executes the smallest candidate with the
+// identical owner-pick / LLC / tracker sequence as System::step_slot,
+// advancing only that slot's owner to the slot start; a lower-bound
+// candidate whose owner turns out to have nothing eligible is an idle
+// probe. Every other lane lags until a back-invalidation reaches it, a
+// pinned transition slot or the end of the replay advances it. Slots
+// between candidates are skipped outright — which is sound because no lane
+// can act before its candidate and PendingBuffers::pick leaves the
+// round-robin preference untouched when nothing is eligible. The per-slot
+// path does no hardware division: slot and phase arithmetic goes through
+// precomputed exact divisors and an owner-by-phase table.
 //
 // State is struct-of-arrays: per-lane cursors, program counters, ready
 // times and block flags live in flat vectors (no per-op allocation, no

@@ -83,8 +83,9 @@ bool kernel_eligible(const ReplayRequest& request) {
     return false;
   }
   // Record retention exposes the legacy presentation order (record ids are
-  // assigned in slot order; the kernel discovers misses in refinement
-  // order), so those runs stay on the legacy engine.
+  // assigned in slot order; the kernel advances lanes lazily, so it
+  // discovers misses out of slot order), so those runs stay on the legacy
+  // engine.
   if (request.setup->config.keep_request_records) {
     return false;
   }

@@ -7,6 +7,20 @@
 //  * start(options)     — fixes the horizon, resets the slot clock;
 //  * run_to_horizon()   — replays every slot inside the horizon;
 //  * finalize()         — exit determination + metric fill.
+//
+// Stepping is owner-driven. Every lane caches one candidate slot, always a
+// slot it owns: the exact slot of its earliest buffered PRB/PWB message
+// or, while it still runs, a lower bound on the slot of its next request.
+// run_to_horizon() takes the minimum candidate and executes that slot,
+// advancing only its owner to the slot start; when the owner turns out to
+// have nothing eligible the slot was an idle probe. Other lanes lag and are
+// advanced lazily — before a back-invalidation reaches them, at a pinned
+// transition slot, and at the end. That replays the legacy loop's exact op
+// sequence per lane: a lane's private state changes only through its own
+// ops, its own fills (it is the owner then) and force-evicts (it is
+// advanced first), only the owner can act in a slot, and no lane ever runs
+// past an executed or pinned slot.
+//
 // Lane replay runs each lane alone (set_workload_solo) to the horizon on its
 // own kernel, then grafts the final lane states into one fresh kernel with
 // adopt_lane() and finalizes that. Request ids are never renumbered: they
@@ -25,6 +39,7 @@
 #include "bus/pending_buffers.h"
 #include "bus/tdm_schedule.h"
 #include "common/assert.h"
+#include "common/invariant_divisor.h"
 #include "common/rng.h"
 #include "core/request_tracker.h"
 #include "core/wcl_analysis.h"
@@ -41,14 +56,6 @@ constexpr std::int64_t kNoSlot = std::numeric_limits<std::int64_t>::max();
 /// Records decoded per MappedTrace batch. Large enough to amortize the
 /// per-batch call, small enough to stay resident in L1d (4096 * 24 B).
 constexpr std::uint64_t kChunkOps = 4096;
-
-/// First slot index whose start cycle is >= `t` (slot k spans
-/// [k*W, (k+1)*W)). Messages enqueued at `t` are pick-eligible from the
-/// first slot start at or after `t`.
-[[nodiscard]] inline std::int64_t first_slot_at_or_after(Cycle t,
-                                                         Cycle slot_width) {
-  return t > 0 ? (t + slot_width - 1) / slot_width : 0;
-}
 
 /// Read cursor over one lane's op stream. Either borrows a materialized
 /// trace (per-core / shared workloads, address offset applied per access)
@@ -117,12 +124,14 @@ class ReplayKernel {
     llc_.program().validate(config_.num_cores);
     const int n = config_.num_cores;
     const std::size_t count = static_cast<std::size_t>(n);
-    // Dense (core, phase) -> slots-until-next-owned table so the hot
-    // message_slot path costs one modulo instead of TdmSchedule's
-    // scan-with-modulo over the period. Every core owns at least one slot
-    // per period (validated by the schedule builders), so the scan below
-    // terminates within one period.
+    // TDM geometry, built once so the per-slot path neither divides nor
+    // calls out of line: exact divisors for the slot width and the period,
+    // and a dense (core, phase) -> slots-until-next-owned table. Every core
+    // owns at least one slot per period (validated by the schedule
+    // builders), so the scan below terminates within one period.
     period_ = static_cast<std::int64_t>(schedule_.slots_per_period());
+    period_div_ = InvariantDivisor(static_cast<std::uint64_t>(period_));
+    slot_div_ = InvariantDivisor(static_cast<std::uint64_t>(config_.slot_width));
     next_owned_delta_.assign(count * static_cast<std::size_t>(period_), 0);
     for (int c = 0; c < n; ++c) {
       for (std::int64_t p = 0; p < period_; ++p) {
@@ -136,8 +145,7 @@ class ReplayKernel {
     cursors_.resize(count);
     pc_.assign(count, 0);
     lane_size_.assign(count, 0);
-    lb_.assign(count, 0);
-    lb_valid_.assign(count, 0);
+    candidate_.assign(count, kStaleSlot);
     next_ready_.assign(count, 0);
     finish_time_.assign(count, 0);
     done_slot_.assign(count, 0);
@@ -196,11 +204,10 @@ class ReplayKernel {
 
   /// Fixes the replay horizon and resets the slot clock to 0.
   void start(const RunOptions& options) {
-    const Cycle W = config_.slot_width;
-    horizon_ = options.max_cycles > 0 ? (options.max_cycles + W - 1) / W : 0;
+    horizon_ = first_slot_at_or_after(options.max_cycles);
     // Deepest run_until limit the legacy loop ever issues: the start of
     // the last slot inside the horizon. Lanes must never run past it.
-    deepest_ = horizon_ > 0 ? (horizon_ - 1) * W : 0;
+    deepest_ = horizon_ > 0 ? slot_start(horizon_ - 1) : 0;
     cur_slot_ = 0;
     last_action_slot_ = -1;
   }
@@ -218,7 +225,6 @@ class ReplayKernel {
     if (horizon_ == 0) {
       return;
     }
-    const Cycle W = config_.slot_width;
     const int n = config_.num_cores;
     for (;;) {
       // 0. Partition-mode transitions pin slots the idle-skip must not
@@ -232,90 +238,27 @@ class ReplayKernel {
       } else {
         const Cycle epoch = llc_.next_transition_epoch();
         if (epoch != kNoCycle) {
-          fslot = std::max(cur_slot_, first_slot_at_or_after(epoch, W));
+          fslot = std::max(cur_slot_, first_slot_at_or_after(epoch));
         }
       }
-      // 1. Earliest slot in which an already-buffered PRB/PWB message is
-      //    pick-eligible (exact: enqueue times and slot ownership are
-      //    both known).
+      // 1. The next slot in which any lane may act: the smallest candidate.
+      //    No lane can act before its own candidate, and the slot has one
+      //    owner, so nothing happens in between.
       std::int64_t action = kNoSlot;
       for (int l = 0; l < n; ++l) {
-        const bus::PendingBuffers& buf = buffers_[static_cast<std::size_t>(l)];
-        const bool has_request = buf.has_request();
-        const bool has_writeback = buf.has_writeback();
-        if (!has_request && !has_writeback) {
-          continue;
-        }
-        Cycle earliest = std::numeric_limits<Cycle>::max();
-        if (has_request) {
-          earliest = buf.request().enqueued_at;
-        }
-        if (has_writeback) {
-          earliest = std::min(earliest, buf.front_writeback().enqueued_at);
-        }
-        action = std::min(action, message_slot(l, earliest, cur_slot_));
-      }
-      // 2. Refinement: a still-running lane could enqueue a miss that
-      //    lands in an earlier slot than `action`. Run the lane with the
-      //    smallest possible miss slot forward — never past the runner-up
-      //    bound, so no lane ever overshoots the slot that ends up being
-      //    executed — until every unblocked lane provably cannot act
-      //    before `action` (or the horizon).
-      for (;;) {
-        // Lanes must never run past a pinned transition slot either: its
-        // back-invalidations may evict private lines the lane would
-        // otherwise keep hitting.
-        const std::int64_t bound = std::min(std::min(action, horizon_), fslot);
-        std::int64_t best = kNoSlot;
-        std::int64_t second = kNoSlot;
-        int best_lane = -1;
-        for (int l = 0; l < n; ++l) {
-          const std::size_t s = static_cast<std::size_t>(l);
-          if (blocked_[s] != 0 || pc_[s] >= lane_size_[s]) {
-            continue;
-          }
-          // A cached bound stays exact until the lane's replay state
-          // mutates (advance_lane/respond clear lb_valid_) or cur_slot
-          // overtakes it: for cur' >= cur with lb >= cur', no slot of the
-          // lane exists in [cur, lb), hence none in [cur', lb) either.
-          if (lb_valid_[s] == 0 || lb_[s] < cur_slot_) {
-            lb_[s] = lower_bound_slot(l, cur_slot_);
-            lb_valid_[s] = 1;
-          }
-          const std::int64_t slot = lb_[s];
-          if (slot < best) {
-            second = best;
-            best = slot;
-            best_lane = l;
-          } else if (slot < second) {
-            second = slot;
-          }
-        }
-        if (best_lane < 0 || best >= bound) {
-          break;
-        }
-        const std::int64_t limit_slot = std::min(bound, second);
-        const Cycle limit = limit_slot >= horizon_ ? deepest_ : limit_slot * W;
-        advance_lane(best_lane, limit);
-        if (blocked_[static_cast<std::size_t>(best_lane)] != 0) {
-          const Cycle enq = buffers_[static_cast<std::size_t>(best_lane)]
-                                .request()
-                                .enqueued_at;
-          action = std::min(action, message_slot(best_lane, enq, cur_slot_));
-        }
+        action = std::min(action, candidate_slot(l));
       }
       if (std::min(action, fslot) >= horizon_) {
         break;
       }
       if (fslot < action) {
-        // 2b. A pinned transition slot precedes the next bus action.
-        // Execute it only if the legacy loop would still be running
-        // there: advance lanes to its boundary (exactly what
-        // execute_slot would do) and replicate the `while (!all_done())`
-        // exit — traces finished and buffers drained earlier means
-        // legacy stopped before the trigger, mid-schedule or even
-        // mid-drain, and so must we.
-        const Cycle fstart = schedule_.slot_start(fslot);
+        // 2. A pinned transition slot precedes every candidate. Execute it
+        // only if the legacy loop would still be running there: advance
+        // lanes to its boundary (exactly what System::step_slot does) and
+        // replicate the `while (!all_done())` exit — traces finished and
+        // buffers drained earlier means legacy stopped before the trigger,
+        // mid-schedule or even mid-drain, and so must we.
+        const Cycle fstart = slot_start(fslot);
         for (int l = 0; l < n; ++l) {
           advance_lane(l, fstart);
         }
@@ -338,9 +281,12 @@ class ReplayKernel {
         cur_slot_ = fslot + 1;
         continue;
       }
-      // 3. Execute the action slot exactly like System::step_slot.
-      execute_slot(action);
-      last_action_slot_ = action;
+      // 3. Execute the candidate slot like System::step_slot. A probe that
+      //    finds nothing eligible is an idle slot, which legacy's exit
+      //    check does not see either.
+      if (execute_slot(action)) {
+        last_action_slot_ = action;
+      }
       cur_slot_ = action + 1;
     }
     // Settle: finish the remaining local work up to the legacy loop's
@@ -399,30 +345,85 @@ class ReplayKernel {
   }
 
  private:
-  /// First slot >= cur_slot owned by lane `l` whose start is at or after
+  /// Marks a cached candidate slot stale (every stale value is below any
+  /// slot clock).
+  static constexpr std::int64_t kStaleSlot = -1;
+
+  [[nodiscard]] Cycle slot_start(std::int64_t slot) const {
+    return slot * config_.slot_width;
+  }
+
+  /// First slot index whose start cycle is >= `t` (slot k spans
+  /// [k*W, (k+1)*W)). Messages enqueued at `t` are pick-eligible from the
+  /// first slot start at or after `t`.
+  [[nodiscard]] std::int64_t first_slot_at_or_after(Cycle t) const {
+    if (t <= 0) {
+      return 0;
+    }
+    const auto cycles = static_cast<std::uint64_t>(t);
+    const std::uint64_t q = slot_div_.quotient(cycles);
+    return static_cast<std::int64_t>(q * slot_div_.divisor() < cycles ? q + 1
+                                                                      : q);
+  }
+
+  /// TdmSchedule::owner_of_slot through the period divisor: the schedule's
+  /// slot list is the owner of each phase.
+  [[nodiscard]] CoreId owner_of(std::int64_t slot) const {
+    return schedule_.slots()[static_cast<std::size_t>(
+        period_div_.remainder(static_cast<std::uint64_t>(slot)))];
+  }
+
+  /// First slot >= cur_slot_ owned by lane `l` whose start is at or after
   /// `enqueued_at` — the exact slot in which the message becomes
   /// pick-eligible.
-  [[nodiscard]] std::int64_t message_slot(int l, Cycle enqueued_at,
-                                          std::int64_t cur_slot) const {
+  [[nodiscard]] std::int64_t message_slot(int l, Cycle enqueued_at) const {
     const std::int64_t from =
-        std::max(cur_slot,
-                 first_slot_at_or_after(enqueued_at, config_.slot_width));
+        std::max(cur_slot_, first_slot_at_or_after(enqueued_at));
+    const auto phase = static_cast<std::int64_t>(
+        period_div_.remainder(static_cast<std::uint64_t>(from)));
     return from + next_owned_delta_[static_cast<std::size_t>(
-                      l * period_ + from % period_)];
+                      l * period_ + phase)];
   }
 
   /// Lower bound on the slot in which lane `l`'s *next* LLC request could
   /// be presented: even if the very next op misses, its request is enqueued
   /// no earlier than next_ready + pending gap + L1 + L2 tag walks, and
   /// every hit in between only pushes that later.
-  [[nodiscard]] std::int64_t lower_bound_slot(int l, std::int64_t cur_slot) {
+  [[nodiscard]] std::int64_t lower_bound_slot(int l) {
     const std::size_t s = static_cast<std::size_t>(l);
     const core::MemOp op = cursors_[s].at(pc_[s]);
     const Cycle gap = gap_applied_[s] != 0 ? 0 : op.gap;
     const Cycle earliest_issue = next_ready_[s] + gap +
                                  config_.private_caches.l1_hit_latency +
                                  config_.private_caches.l2_hit_latency;
-    return message_slot(l, earliest_issue, cur_slot);
+    return message_slot(l, earliest_issue);
+  }
+
+  /// Lane `l`'s candidate slot: the earliest slot it owns in which it may
+  /// put a message on the bus — exact for buffered messages, a lower bound
+  /// for a request it has not issued yet; kNoSlot when it has nothing left.
+  /// A cached value stays exact while it is >= cur_slot_ and the lane's
+  /// state is unchanged: for cur' >= cur with c >= cur', no slot of the
+  /// lane lies in [cur, c), hence none in [cur', c). Every mutation of the
+  /// lane's buffers or replay state marks the cache stale.
+  [[nodiscard]] std::int64_t candidate_slot(int l) {
+    const std::size_t s = static_cast<std::size_t>(l);
+    if (candidate_[s] >= cur_slot_) {
+      return candidate_[s];
+    }
+    std::int64_t slot = kNoSlot;
+    if (blocked_[s] == 0 && pc_[s] < lane_size_[s]) {
+      slot = lower_bound_slot(l);
+    }
+    const bus::PendingBuffers& buf = buffers_[s];
+    if (buf.has_request()) {
+      slot = std::min(slot, message_slot(l, buf.request().enqueued_at));
+    }
+    if (buf.has_writeback()) {
+      slot = std::min(slot, message_slot(l, buf.front_writeback().enqueued_at));
+    }
+    candidate_[s] = slot;
+    return slot;
   }
 
   /// TraceCore::run_until on flat lane state.
@@ -481,34 +482,35 @@ class ReplayKernel {
         // The legacy loop consumes this op while executing the slot that
         // contains `start`, so all_done is first observable one slot after
         // that one.
-        done_slot_[s] = start / config_.slot_width + 2;
+        done_slot_[s] = static_cast<std::int64_t>(slot_div_.quotient(
+                            static_cast<std::uint64_t>(start))) +
+                        2;
       }
     }
     pc_[s] = pc;
     next_ready_[s] = next_ready;
     if (pc != entry_pc || next_ready != entry_next_ready ||
         gap_applied_[s] != entry_gap_applied) {
-      lb_valid_[s] = 0;
+      candidate_[s] = kStaleSlot;
     }
   }
 
-  /// System::step_slot for the one slot `slot` (which carries an action).
-  void execute_slot(std::int64_t slot) {
-    const Cycle slot_start = schedule_.slot_start(slot);
-    const int n = config_.num_cores;
-    for (int l = 0; l < n; ++l) {
-      advance_lane(l, slot_start);
-    }
+  /// System::step_slot for the one slot `slot`, advancing only the slot
+  /// owner (no other lane can act in it). Returns false when the owner had
+  /// nothing eligible (an idle probe).
+  bool execute_slot(std::int64_t slot) {
+    const Cycle slot_start = this->slot_start(slot);
+    const CoreId owner = owner_of(slot);
+    const std::size_t o = static_cast<std::size_t>(owner.value);
+    advance_lane(owner.value, slot_start);
     // Mirror of System::step_slot step 1b: fire/pump mode transitions at
     // the slot boundary before the owner pick.
     for (const auto& binval : llc_.advance_transition(slot_start)) {
       deliver_back_invalidation(binval, slot_start);
     }
-    const CoreId owner = schedule_.owner_of_slot(slot);
-    const std::size_t o = static_cast<std::size_t>(owner.value);
     switch (buffers_[o].pick(slot_start)) {
       case bus::PendingBuffers::Pick::kNone:
-        break;
+        return false;
       case bus::PendingBuffers::Pick::kRequest: {
         const bus::BusMessage& msg = buffers_[o].request();
         const std::uint64_t request_id = msg.request_id;
@@ -551,6 +553,8 @@ class ReplayKernel {
         break;
       }
     }
+    candidate_[o] = kStaleSlot;
+    return true;
   }
 
   /// TraceCore::on_response on flat lane state; `slot` is the serving slot.
@@ -567,7 +571,6 @@ class ReplayKernel {
     next_ready_[s] = completion;
     ++pc_[s];
     gap_applied_[s] = 0;
-    lb_valid_[s] = 0;
     if (pc_[s] == lane_size_[s]) {
       finish_time_[s] = completion;
       done_slot_[s] = slot + 1;
@@ -575,11 +578,14 @@ class ReplayKernel {
     return victim;
   }
 
-  /// System::deliver_back_invalidation on flat lane state.
+  /// System::deliver_back_invalidation on flat lane state. Each target lane
+  /// is first advanced to the slot start, where legacy's step 1 left it.
   void deliver_back_invalidation(const llc::BackInvalidation& binval,
                                  Cycle slot_start) {
     for (CoreId owner : binval.owners) {
       const std::size_t o = static_cast<std::size_t>(owner.value);
+      advance_lane(owner.value, slot_start);
+      candidate_[o] = kStaleSlot;
       const mem::ForcedEviction evicted = caches_[o].force_evict(binval.line);
       if (evicted.was_present) {
         PSLLC_ASSERT(!buffers_[o].has_writeback_for(binval.line),
@@ -678,17 +684,19 @@ class ReplayKernel {
   std::int64_t cur_slot_ = 0;
   std::int64_t last_action_slot_ = -1;
 
-  // Hot-path TDM geometry: delta to the next slot owned by a core, indexed
-  // by core * period + (slot % period). Built once in the constructor.
+  // Hot-path TDM geometry, built once in the constructor: exact divisors
+  // for the slot width and the period, and the delta to the next slot
+  // owned by a core, indexed by core * period + (slot % period).
   std::int64_t period_ = 0;
+  InvariantDivisor slot_div_;
+  InvariantDivisor period_div_;
   std::vector<std::int64_t> next_owned_delta_;
 
   // Struct-of-arrays lane state (one entry per core).
   std::vector<LaneCursor> cursors_;
   std::vector<std::uint64_t> pc_;
   std::vector<std::uint64_t> lane_size_;
-  std::vector<std::int64_t> lb_;  ///< cached lower_bound_slot per lane
-  std::vector<unsigned char> lb_valid_;
+  std::vector<std::int64_t> candidate_;  ///< cached candidate_slot per lane
   std::vector<Cycle> next_ready_;
   std::vector<Cycle> finish_time_;
   std::vector<std::int64_t> done_slot_;  ///< slot where all_done sees the lane

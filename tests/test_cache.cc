@@ -2,6 +2,10 @@
 // and geometry validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/assert.h"
 #include "mem/cache_set.h"
 #include "mem/set_assoc_cache.h"
@@ -145,6 +149,42 @@ TEST(SetAssocCache, LineOfUsesLineSize) {
   EXPECT_EQ(geometry.line_of(0x1000), 0x40u);
   CacheGeometry wide{4, 2, 128};
   EXPECT_EQ(wide.line_of(255), 1u);
+}
+
+TEST(CacheGeometry, SetOfMatchesModuloAtExtremeLines) {
+  // set_of masks power-of-two set counts and divides the rest; both must
+  // agree with the plain `line % num_sets` definition on the whole range.
+  constexpr LineAddr k32 = LineAddr{1} << 32;
+  const std::vector<LineAddr> lines = {
+      0,           1,           7,           k32 - 1,
+      k32,         k32 + 1,     LineAddr{1} << 63,
+      (LineAddr{1} << 63) + 5,  std::numeric_limits<LineAddr>::max() - 1,
+      std::numeric_limits<LineAddr>::max()};
+  for (const int sets : {1, 2, 3, 4, 5, 6, 7, 12, 16, 24, 64, 100, 1024}) {
+    const CacheGeometry geometry{sets, 2, 64};
+    for (const LineAddr line : lines) {
+      EXPECT_EQ(geometry.set_of(line),
+                static_cast<int>(line % static_cast<std::uint64_t>(sets)))
+          << "line " << line << " sets " << sets;
+    }
+    for (LineAddr line = 0; line < 300; ++line) {
+      EXPECT_EQ(geometry.set_of(line),
+                static_cast<int>(line % static_cast<std::uint64_t>(sets)));
+    }
+  }
+}
+
+TEST(SetAssocCache, NonPowerOfTwoSetsIndexByModulo) {
+  // 3 sets x 1 way: lines 1 and 4 collide (1 mod 3 == 4 mod 3), line 2
+  // does not.
+  SetAssocCache cache({3, 1, 64}, ReplacementKind::kLru);
+  cache.fill(1, false);
+  cache.fill(2, false);
+  const auto victim = cache.fill(4, false);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(victim->line, 1u);
+  EXPECT_TRUE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(4));
 }
 
 // --- parameterized: geometry sweep ------------------------------------------------

@@ -1,11 +1,16 @@
 // Unit tests for the common substrate: types, RNG, stats, tables, queues,
-// strings.
+// invariant divisors, strings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/fixed_queue.h"
+#include "common/invariant_divisor.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -39,6 +44,19 @@ TEST(Types, PowerOfTwoHelpers) {
   EXPECT_FALSE(is_pow2(48));
   EXPECT_EQ(log2_exact(64), 6);
   EXPECT_EQ(log2_exact(1), 0);
+  EXPECT_EQ(log2_exact(std::uint64_t{1} << 63), 63);
+}
+
+TEST(Types, ModOrMaskMatchesModulo) {
+  const std::vector<std::uint64_t> values = {
+      0, 1, 63, 64, 65, (std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
+      (std::uint64_t{1} << 32) + 1, std::uint64_t{1} << 63,
+      std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t n : {1, 2, 3, 4, 5, 7, 8, 12, 64, 100, 1024}) {
+    for (const std::uint64_t v : values) {
+      EXPECT_EQ(mod_or_mask(v, n), v % n) << v << " mod " << n;
+    }
+  }
 }
 
 // --- assertions ------------------------------------------------------------
@@ -301,6 +319,124 @@ TEST(FixedQueue, EmptyAccessorsAssert) {
   EXPECT_THROW(q.pop(), AssertionError);
   EXPECT_THROW((void)q.front(), AssertionError);
   EXPECT_THROW((void)q.at(0), AssertionError);
+}
+
+TEST(FixedQueue, MatchesDequeAcrossWrapAround) {
+  // Seeded pushes, pops, erasures and lookups against std::deque. Queues
+  // run near full for thousands of steps, so the head wraps around the
+  // ring many times at every capacity.
+  for (const int capacity : {1, 2, 3, 5, 16}) {
+    FixedQueue<int> q(capacity);
+    std::deque<int> model;
+    Rng rng(static_cast<std::uint64_t>(capacity) * 977);
+    int next_value = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next_below(8);
+      if (op < 3 && !q.full()) {
+        q.push(next_value);
+        model.push_back(next_value);
+        ++next_value;
+      } else if (op < 5 && !q.empty()) {
+        EXPECT_EQ(q.pop(), model.front());
+        model.pop_front();
+      } else if (op < 6 && !q.empty()) {
+        const int pos = static_cast<int>(rng.next_below(model.size()));
+        q.erase_at(pos);
+        model.erase(model.begin() + pos);
+      } else if (op < 7 && !q.empty()) {
+        const int pos = static_cast<int>(rng.next_below(model.size()));
+        q.at_mut(pos) += 1000000;
+        model[static_cast<std::size_t>(pos)] += 1000000;
+      } else if (!model.empty()) {
+        // Look up a present value and one that was never pushed.
+        const std::size_t pos = rng.next_below(model.size());
+        const int value = model[pos];
+        EXPECT_EQ(q.find_if([value](int v) { return v == value; }),
+                  static_cast<int>(pos));
+        EXPECT_EQ(q.find_if([](int v) { return v < 0; }), -1);
+      }
+      ASSERT_EQ(q.size(), static_cast<int>(model.size()))
+          << "capacity " << capacity << " step " << step;
+      EXPECT_EQ(q.full(), static_cast<int>(model.size()) == capacity);
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        EXPECT_EQ(q.at(static_cast<int>(i)), model[i]);
+      }
+      if (!model.empty()) {
+        EXPECT_EQ(q.front(), model.front());
+      }
+    }
+    // Refill after all the churn: the ring still accepts exactly
+    // `capacity` elements in order.
+    while (!q.empty()) {
+      (void)q.pop();
+    }
+    for (int i = 0; i < capacity; ++i) {
+      q.push(i);
+    }
+    EXPECT_THROW(q.push(capacity), AssertionError);
+    for (int i = 0; i < capacity; ++i) {
+      EXPECT_EQ(q.pop(), i);
+    }
+  }
+}
+
+// --- invariant divisor -------------------------------------------------------------
+
+TEST(InvariantDivisor, MatchesHardwareDivision) {
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> divisors = {1,      2,       3,       5,   7,
+                                         50,     100,     641,     1000,
+                                         k32 - 1, k32 + 1, kMax / 3, kMax};
+  for (int k = 0; k < 64; ++k) {
+    divisors.push_back(std::uint64_t{1} << k);
+  }
+  Rng rng(2024);
+  for (const std::uint64_t d : divisors) {
+    const InvariantDivisor div(d);
+    EXPECT_EQ(div.divisor(), d);
+    std::vector<std::uint64_t> numerators = {0, 1, d - 1, d, kMax - 1, kMax};
+    // Around the multiply-high / hardware-division boundary at 2^32.
+    for (std::uint64_t n = k32 - 300; n < k32 + 300; ++n) {
+      numerators.push_back(n);
+    }
+    // The multiples of d on either side of 2^32 and their neighbours,
+    // where a rounding error in the quotient would show first.
+    const std::uint64_t below = (k32 - 1) / d * d;
+    for (const std::uint64_t m : {below, below + d}) {
+      if (m >= 1) {
+        numerators.push_back(m - 1);
+      }
+      numerators.push_back(m);
+      numerators.push_back(m + 1);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      numerators.push_back(rng.next_u64());
+      numerators.push_back(rng.next_u64() >> 32);
+      numerators.push_back(rng.next_below(1000000));
+    }
+    for (const std::uint64_t n : numerators) {
+      ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div.remainder(n), n % d) << n << " % " << d;
+    }
+  }
+}
+
+TEST(InvariantDivisor, ExhaustiveBelowBoundForSmallDivisors) {
+  // Every numerator of the top of the 32-bit range, for the slot widths and
+  // TDM periods the benches use.
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  for (const std::uint64_t d : {3, 5, 6, 7, 9, 10, 12, 25, 50, 100}) {
+    const InvariantDivisor div(d);
+    for (std::uint64_t n = k32 - 100000; n < k32; ++n) {
+      ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div.remainder(n), n % d) << n << " % " << d;
+    }
+  }
+}
+
+TEST(InvariantDivisor, ZeroDivisorAsserts) {
+  EXPECT_THROW((void)InvariantDivisor{0}, AssertionError);
 }
 
 // --- strings -----------------------------------------------------------------------

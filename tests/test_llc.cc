@@ -2,6 +2,8 @@
 // sequencer, and the PartitionedLlc request/write-back protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -306,6 +308,119 @@ TEST(SetSequencer, HardwareCapacityAsserts) {
   EXPECT_THROW(seq.enqueue(SetKey{0, 0}, CoreId{0}), AssertionError);
   // Dequeue of a non-head core.
   EXPECT_THROW(seq.dequeue_head(SetKey{0, 0}, CoreId{1}), AssertionError);
+}
+
+TEST(SetSequencer, CoreWaitsInAtMostOneQueue) {
+  SetSequencer seq(4, 4);
+  const SetKey a{0, 1};
+  const SetKey b{1, 1};  // same physical set, another partition
+  seq.enqueue(a, CoreId{2});
+  EXPECT_THROW(seq.enqueue(b, CoreId{2}), AssertionError);
+  EXPECT_THROW(seq.enqueue(SetKey{0, 2}, CoreId{2}), AssertionError);
+  // The rejected enqueues left no trace.
+  EXPECT_FALSE(seq.has_queue(b));
+  EXPECT_FALSE(seq.is_queued(b, CoreId{2}));
+  EXPECT_EQ(seq.active_queues(), 1);
+  EXPECT_TRUE(seq.is_head(a, CoreId{2}));
+  // Once it leaves, the core may wait elsewhere.
+  seq.dequeue_head(a, CoreId{2});
+  seq.enqueue(b, CoreId{2});
+  EXPECT_TRUE(seq.is_head(b, CoreId{2}));
+  EXPECT_FALSE(seq.is_queued(a, CoreId{2}));
+}
+
+/// Checks every SetSequencer query against a map of per-set FIFO queues.
+void expect_sequencer_matches(
+    const SetSequencer& seq, const std::map<SetKey, std::deque<CoreId>>& model,
+    const std::vector<SetKey>& keys, int cores) {
+  int live = 0;
+  std::vector<std::pair<SetKey, std::vector<CoreId>>> canonical;
+  for (const auto& [key, queue] : model) {
+    if (!queue.empty()) {
+      ++live;
+      canonical.emplace_back(key,
+                             std::vector<CoreId>(queue.begin(), queue.end()));
+    }
+  }
+  EXPECT_EQ(seq.active_queues(), live);
+  EXPECT_EQ(seq.canonical(), canonical);
+  for (const SetKey& key : keys) {
+    const auto it = model.find(key);
+    const std::deque<CoreId> empty;
+    const std::deque<CoreId>& queue = it == model.end() ? empty : it->second;
+    EXPECT_EQ(seq.has_queue(key), !queue.empty());
+    EXPECT_EQ(seq.queue_length(key), static_cast<int>(queue.size()));
+    for (int c = 0; c < cores; ++c) {
+      const CoreId core{c};
+      int pos = -1;
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        if (queue[i] == core) {
+          pos = static_cast<int>(i);
+        }
+      }
+      EXPECT_EQ(seq.position(key, core), pos);
+      EXPECT_EQ(seq.is_queued(key, core), pos >= 0);
+      EXPECT_EQ(seq.is_head(key, core), pos == 0);
+    }
+  }
+}
+
+TEST(SetSequencer, MatchesReferenceModelUnderRandomOps) {
+  // Colliding keys: the same physical set under several partitions and the
+  // same partition over several sets. Six cores over five keys keep the
+  // QLT busy and the queues several deep.
+  const std::vector<SetKey> keys = {
+      SetKey{0, 0}, SetKey{0, 1}, SetKey{1, 0}, SetKey{1, 1}, SetKey{2, 7}};
+  constexpr int kCores = 6;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SetSequencer seq(kCores, kCores);
+    std::map<SetKey, std::deque<CoreId>> model;
+    Rng rng(seed);
+    auto waiting_key = [&](CoreId core) -> const SetKey* {
+      for (const auto& [key, queue] : model) {
+        for (const CoreId c : queue) {
+          if (c == core) {
+            return &key;
+          }
+        }
+      }
+      return nullptr;
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const CoreId core{static_cast<int>(rng.next_below(kCores))};
+      const SetKey* current = waiting_key(core);
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 45) {
+        if (current == nullptr) {
+          const SetKey key = keys[rng.next_below(keys.size())];
+          seq.enqueue(key, core);
+          model[key].push_back(core);
+        }
+      } else if (op < 75) {
+        // Serve the head of a random live queue.
+        const SetKey key = keys[rng.next_below(keys.size())];
+        auto& queue = model[key];
+        if (!queue.empty()) {
+          seq.dequeue_head(key, queue.front());
+          queue.pop_front();
+        }
+      } else if (op < 99) {
+        if (current != nullptr) {
+          const SetKey key = *current;
+          seq.remove(key, core);
+          auto& queue = model[key];
+          queue.erase(std::find(queue.begin(), queue.end(), core));
+        }
+      } else {
+        seq.clear();
+        model.clear();
+      }
+      expect_sequencer_matches(seq, model, keys, kCores);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " step " << step;
+      }
+    }
+  }
 }
 
 // --- PartitionedLlc ---------------------------------------------------------------

@@ -3,15 +3,63 @@
 // isolation and the WCL bounds are mapping-independent (paper Section 2).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/system.h"
+#include "common/rng.h"
 #include "core/wcl_analysis.h"
 #include "llc/partition.h"
 #include "sim/workload.h"
 
 namespace psllc::llc {
 namespace {
+
+/// map_set as first written: `%` for the index and a shift loop for the
+/// xor-fold width. The strength-reduced map_set must agree with it.
+int reference_map_set(const PartitionSpec& spec, LineAddr line) {
+  const auto sets = static_cast<std::uint64_t>(spec.num_sets);
+  std::uint64_t index = line % sets;
+  if (spec.mapping == SetMapping::kXorFold) {
+    int shift = 1;
+    while ((1 << shift) < spec.num_sets) {
+      ++shift;
+    }
+    index = (line ^ (line >> shift)) % sets;
+  }
+  return spec.first_set + static_cast<int>(index);
+}
+
+TEST(SetMapping, MatchesReferenceExpressionsAtExtremeLines) {
+  constexpr LineAddr k32 = LineAddr{1} << 32;
+  std::vector<LineAddr> lines = {0,
+                                 1,
+                                 31,
+                                 32,
+                                 k32 - 1,
+                                 k32,
+                                 k32 + 1,
+                                 LineAddr{1} << 63,
+                                 (LineAddr{1} << 63) - 1,
+                                 std::numeric_limits<LineAddr>::max() - 1,
+                                 std::numeric_limits<LineAddr>::max()};
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    lines.push_back(rng.next_u64());
+  }
+  for (const SetMapping mapping : {SetMapping::kModulo, SetMapping::kXorFold}) {
+    for (const int sets :
+         {1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 32, 33, 64, 100, 128, 1024, 1000}) {
+      const PartitionSpec spec{3, sets, 0, 2, mapping};
+      for (const LineAddr line : lines) {
+        EXPECT_EQ(spec.map_set(line), reference_map_set(spec, line))
+            << to_string(mapping) << " sets " << sets << " line " << line;
+      }
+    }
+  }
+}
 
 TEST(SetMapping, ModuloMatchesDefinition) {
   PartitionSpec spec{4, 8, 0, 2};
