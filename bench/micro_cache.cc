@@ -1,12 +1,16 @@
 // Google-benchmark microbenchmarks for the hot data structures: cache
-// lookup/fill, replacement victim selection, the set sequencer, and the
-// pending write-back buffer.
+// lookup/fill, replacement victim selection, the set sequencer, the pending
+// write-back buffer, and the LLC's three-slot eviction round trip.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "bus/pending_buffers.h"
 #include "common/rng.h"
+#include "llc/llc.h"
 #include "llc/set_sequencer.h"
 #include "mem/cache_set.h"
+#include "mem/memory_backend.h"
 #include "mem/set_assoc_cache.h"
 
 namespace {
@@ -114,6 +118,58 @@ void BM_PendingWritebackScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PendingWritebackScan);
+
+// Every LLC miss into a full shared partition, as in the paper's Figs. 2-4:
+// the first presentation blocks and back-invalidates the victim's owner,
+// the owner's freeing write-back frees the entry, and the retry fills. A
+// 2-way partition shared by 4 cores under the set sequencer; the cores
+// take turns, each with a fresh line of the same set, so the LRU victim is
+// always owned by another core.
+void BM_EvictionRoundTrip(benchmark::State& state) {
+  const llc::LlcConfig config;
+  mem::FixedLatencyBackend dram(mem::DramConfig{});
+  constexpr int kCores = 4;
+  constexpr int kSets = 32;
+  const std::vector<CoreId> cores{CoreId{0}, CoreId{1}, CoreId{2}, CoreId{3}};
+  llc::PartitionedLlc llc(
+      config, llc::make_shared_partition(config.geometry, cores, kSets, 2),
+      llc::ContentionMode::kSetSequencer, kCores, dram);
+  // Multiples of the partition's set count all map to its first set.
+  LineAddr next = 0;
+  int core = 0;
+  Cycle now = 0;
+  for (; next < 2; ++next, core = (core + 1) % kCores) {
+    (void)llc.handle_request(CoreId{core}, next * kSets, now);
+  }
+  for (auto _ : state) {
+    const CoreId requester{core};
+    const LineAddr line = next * kSets;
+    const llc::RequestOutcome blocked =
+        llc.handle_request(requester, line, now);
+    benchmark::DoNotOptimize(blocked);
+    if (!blocked.back_invalidation) {
+      state.SkipWithError("presentation did not start an eviction");
+      break;
+    }
+    const llc::BackInvalidation& binval = *blocked.back_invalidation;
+    for (const CoreId owner : binval.owners) {
+      benchmark::DoNotOptimize(llc.handle_writeback(
+          owner, binval.line, /*carries_dirty_data=*/false,
+          /*frees_entry=*/true, now + 50));
+    }
+    const llc::RequestOutcome filled =
+        llc.handle_request(requester, line, now + 100);
+    benchmark::DoNotOptimize(filled);
+    if (filled.status != llc::RequestOutcome::Status::kFilled) {
+      state.SkipWithError("retry after the freeing write-back did not fill");
+      break;
+    }
+    ++next;
+    core = (core + 1) % kCores;
+    now += 150;
+  }
+}
+BENCHMARK(BM_EvictionRoundTrip);
 
 }  // namespace
 

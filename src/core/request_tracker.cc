@@ -33,33 +33,35 @@ std::uint64_t RequestTracker::begin(CoreId core, LineAddr line,
   return record.id;
 }
 
-RequestRecord& RequestTracker::inflight_mut(std::uint64_t id) {
-  for (auto& slot : inflight_) {
-    if (slot && slot->id == id) {
-      return *slot;
-    }
-  }
-  PSLLC_ASSERT(false, "unknown in-flight request id " << id);
-  // Unreachable; assertion_failed throws.
-  return *inflight_.front();
+RequestRecord& RequestTracker::inflight_mut(CoreId core, std::uint64_t id) {
+  PSLLC_ASSERT(core.valid() &&
+                   core.value < static_cast<int>(inflight_.size()),
+               "bad core " << core.value);
+  auto& slot = inflight_[static_cast<std::size_t>(core.value)];
+  PSLLC_ASSERT(slot.has_value() && slot->id == id,
+               "request id " << id << " is not " << to_string(core)
+                             << "'s in-flight request");
+  return *slot;
 }
 
-void RequestTracker::on_presented(std::uint64_t id, Cycle slot_start) {
-  RequestRecord& record = inflight_mut(id);
+void RequestTracker::on_presented(CoreId core, std::uint64_t id,
+                                  Cycle slot_start) {
+  RequestRecord& record = inflight_mut(core, id);
   if (record.first_presented == kNoCycle) {
     record.first_presented = slot_start;
   }
   ++record.presentations;
 }
 
-void RequestTracker::on_completed(std::uint64_t id, Cycle completion) {
-  RequestRecord& record = inflight_mut(id);
+void RequestTracker::on_completed(CoreId core, std::uint64_t id,
+                                  Cycle completion) {
+  RequestRecord& record = inflight_mut(core, id);
   PSLLC_ASSERT(record.first_presented != kNoCycle,
                "request completed without ever being presented");
   record.completed = completion;
-  const auto core = static_cast<std::size_t>(record.core.value);
-  service_[core].add(record.service_latency());
-  total_[core].add(record.total_latency());
+  const auto c = static_cast<std::size_t>(core.value);
+  service_[c].add(record.service_latency());
+  total_[c].add(record.total_latency());
   ++completed_count_;
   if (!worst_ || record.service_latency() > worst_->service_latency()) {
     worst_ = record;
@@ -67,7 +69,7 @@ void RequestTracker::on_completed(std::uint64_t id, Cycle completion) {
   if (keep_records_) {
     records_.push_back(record);
   }
-  inflight_[core].reset();
+  inflight_[c].reset();
 }
 
 void RequestTracker::on_writeback_sent(CoreId core) {

@@ -46,13 +46,14 @@ class RequestTracker {
   std::uint64_t begin(CoreId core, LineAddr line, AccessType access,
                       Cycle issued);
 
-  /// The request was presented on the bus in the slot starting at
-  /// `slot_start` (first call fixes first_presented; later calls count
-  /// retries).
-  void on_presented(std::uint64_t id, Cycle slot_start);
+  /// `core`'s in-flight request `id` was presented on the bus in the slot
+  /// starting at `slot_start` (first call fixes first_presented; later
+  /// calls count retries). Both engines know the presenting core (the slot
+  /// owner), so the record is found by index; `id` must match it.
+  void on_presented(CoreId core, std::uint64_t id, Cycle slot_start);
 
-  /// The request's response completed at `completion`.
-  void on_completed(std::uint64_t id, Cycle completion);
+  /// `core`'s in-flight request `id` completed at `completion`.
+  void on_completed(CoreId core, std::uint64_t id, Cycle completion);
 
   /// `core` sent a write-back; attributed to its in-flight request if any.
   void on_writeback_sent(CoreId core);
@@ -82,7 +83,8 @@ class RequestTracker {
   void absorb_solo(const RequestTracker& other);
 
  private:
-  RequestRecord& inflight_mut(std::uint64_t id);
+  /// `core`'s in-flight record, checked to be request `id`.
+  RequestRecord& inflight_mut(CoreId core, std::uint64_t id);
 
   bool keep_records_;
   std::uint64_t next_id_ = 1;

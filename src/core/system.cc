@@ -88,7 +88,7 @@ void System::step_slot() {
       const LineAddr line = msg.line;
       event.action = SlotEvent::Action::kRequest;
       event.line = line;
-      tracker_.on_presented(request_id, slot_start);
+      tracker_.on_presented(owner, request_id, slot_start);
       const llc::RequestOutcome outcome =
           llc_.handle_request(owner, line, slot_start, msg.access);
       if (outcome.back_invalidation) {
@@ -117,7 +117,7 @@ void System::step_slot() {
             observed_transient_wcl_ = latency;
           }
         }
-        tracker_.on_completed(request_id, completion);
+        tracker_.on_completed(owner, request_id, completion);
         event.request_completed = true;
         if (victim) {
           handle_private_victim(owner_core, *victim, completion);

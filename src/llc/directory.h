@@ -21,12 +21,53 @@
 #ifndef PSLLC_LLC_DIRECTORY_H_
 #define PSLLC_LLC_DIRECTORY_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.h"
 
 namespace psllc::llc {
+
+/// A set of cores held as one 64-bit word (bit c = core c), iterated in
+/// ascending CoreId order. A value type: copying it never allocates, which
+/// is what lets a back-invalidation name its owners on the slot hot path.
+class CoreMask {
+ public:
+  /// Walks the set bits, lowest first.
+  class Iterator {
+   public:
+    constexpr Iterator() = default;
+    constexpr explicit Iterator(std::uint64_t rest) : rest_(rest) {}
+
+    [[nodiscard]] constexpr CoreId operator*() const {
+      return CoreId{std::countr_zero(rest_)};
+    }
+    constexpr Iterator& operator++() {
+      rest_ &= rest_ - 1;
+      return *this;
+    }
+    constexpr bool operator==(const Iterator&) const = default;
+
+   private:
+    std::uint64_t rest_ = 0;  ///< cores not yet visited
+  };
+
+  constexpr CoreMask() = default;
+  constexpr explicit CoreMask(std::uint64_t bits) : bits_(bits) {}
+
+  [[nodiscard]] constexpr std::uint64_t bits() const { return bits_; }
+  [[nodiscard]] constexpr std::size_t size() const {
+    return static_cast<std::size_t>(std::popcount(bits_));
+  }
+  [[nodiscard]] constexpr bool empty() const { return bits_ == 0; }
+  [[nodiscard]] constexpr Iterator begin() const { return Iterator(bits_); }
+  [[nodiscard]] constexpr Iterator end() const { return Iterator(); }
+
+ private:
+  std::uint64_t bits_ = 0;
+};
 
 class InclusiveDirectory {
  public:

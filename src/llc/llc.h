@@ -36,6 +36,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,10 +73,13 @@ struct LlcConfig {
 };
 
 /// A back-invalidation the system must deliver: every owner evicts `line`
-/// from its private caches and answers with a freeing write-back.
+/// from its private caches and answers with a freeing write-back. `owners`
+/// is the line's directory sharer mask at the eviction, iterated in
+/// ascending core order (the order of InclusiveDirectory::sharers()); being
+/// one word, it keeps eviction-starting presentations allocation-free.
 struct BackInvalidation {
   LineAddr line = 0;
-  std::vector<CoreId> owners;
+  CoreMask owners;
 };
 
 /// Outcome of presenting a request in the owner's slot.
@@ -93,6 +97,8 @@ struct RequestOutcome {
     return status != Status::kBlocked;
   }
 };
+static_assert(std::is_trivially_copyable_v<RequestOutcome>,
+              "request outcomes are returned by value on every presentation");
 
 /// Outcome of a write-back arrival.
 struct WritebackOutcome {

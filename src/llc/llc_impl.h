@@ -259,11 +259,13 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
     // Allocation requires a free way, permission from the contention mode,
     // and no stale copy of the same line still draining out of the set
     // (pending invalidation) — nor out of a pre-transition location
-    // elsewhere in the cache (draining_lines_).
-    if (find_free_way(spec, pset) >= 0 && may_allocate(key, core) &&
-        find_way_raw(spec, pset, line) < 0 &&
+    // elsewhere in the cache (draining_lines_). The hit lookup stays exact
+    // for the whole loop: the only way the loop frees is an evictable one
+    // (valid, neither pending nor draining), and had `line` sat in such a
+    // way the presentation would have hit above.
+    const int way = find_free_way(spec, pset);
+    if (way >= 0 && may_allocate(key, core) && hit_way < 0 &&
         draining_lines_.find(line) == draining_lines_.end()) {
-      const int way = find_free_way(spec, pset);
       PSLLC_AUDIT(spec.contains_way(way),
                   "allocated way " << way << " escapes partition " << pid
                                    << " " << spec.to_string());
@@ -317,7 +319,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
                 "victim way " << victim << " escapes partition " << pid << " "
                               << spec.to_string());
     const LineAddr victim_line = set.way(victim).line;
-    const std::vector<CoreId> owners = directory_.sharers(victim_line);
+    const CoreMask owners(directory_.sharer_mask(victim_line));
     ++stats_.evictions_started;
     if (owners.empty()) {
       // No private copies: the entry is reusable within this slot; dirty
@@ -702,7 +704,7 @@ void BasicPartitionedLlc<Memory>::pump_drain(
       continue;  // invalidation in flight (drain-issued or pre-transition)
     }
     const LineAddr line = set.way(w).line;
-    const std::vector<CoreId> owners = directory_.sharers(line);
+    const CoreMask owners(directory_.sharer_mask(line));
     if (owners.empty()) {
       // No private copies: free within this slot; dirty data drains
       // through the bounded write queue off the critical path.

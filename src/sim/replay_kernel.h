@@ -21,6 +21,15 @@
 // advanced first), only the owner can act in a slot, and no lane ever runs
 // past an executed or pinned slot.
 //
+// Candidate selection keeps a stale-lane bitmask (one bit per lane; the LLC
+// caps a system at 64 cores). Every mutation of a lane's buffers or replay
+// state sets its bit, and so does executing a slot, for the owner. Each
+// run_to_horizon() step recomputes only the stale lanes' candidates, clears
+// the mask and takes a branch-free minimum over all cached candidates. That
+// is exact: after a slot executes, the owner's candidate is the only one
+// below the new slot clock (every other lane's candidate lies beyond the
+// executed slot, which it does not own), and the owner is always stale.
+//
 // Lane replay runs each lane alone (set_workload_solo) to the horizon on its
 // own kernel, then grafts the final lane states into one fresh kernel with
 // adopt_lane() and finalizes that. Request ids are never renumbered: they
@@ -30,6 +39,7 @@
 #define PSLLC_SIM_REPLAY_KERNEL_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -145,7 +155,9 @@ class ReplayKernel {
     cursors_.resize(count);
     pc_.assign(count, 0);
     lane_size_.assign(count, 0);
-    candidate_.assign(count, kStaleSlot);
+    candidate_.assign(count, kNoSlot);
+    // The LLC (constructed above) has already rejected more than 64 cores.
+    stale_ = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
     next_ready_.assign(count, 0);
     finish_time_.assign(count, 0);
     done_slot_.assign(count, 0);
@@ -244,9 +256,17 @@ class ReplayKernel {
       // 1. The next slot in which any lane may act: the smallest candidate.
       //    No lane can act before its own candidate, and the slot has one
       //    owner, so nothing happens in between.
+      for (std::uint64_t m = stale_; m != 0; m &= m - 1) {
+        refresh_candidate(std::countr_zero(m));
+      }
+      stale_ = 0;
       std::int64_t action = kNoSlot;
-      for (int l = 0; l < n; ++l) {
-        action = std::min(action, candidate_slot(l));
+      for (const std::int64_t candidate : candidate_) {
+        PSLLC_AUDIT(candidate >= cur_slot_,
+                    "cached candidate slot " << candidate
+                                             << " behind the slot clock "
+                                             << cur_slot_ << " was not stale");
+        action = std::min(action, candidate);
       }
       if (std::min(action, fslot) >= horizon_) {
         break;
@@ -345,9 +365,8 @@ class ReplayKernel {
   }
 
  private:
-  /// Marks a cached candidate slot stale (every stale value is below any
-  /// slot clock).
-  static constexpr std::int64_t kStaleSlot = -1;
+  /// Queues lane `l`'s cached candidate slot for recomputation.
+  void mark_stale(int l) { stale_ |= std::uint64_t{1} << l; }
 
   [[nodiscard]] Cycle slot_start(std::int64_t slot) const {
     return slot * config_.slot_width;
@@ -399,18 +418,15 @@ class ReplayKernel {
     return message_slot(l, earliest_issue);
   }
 
-  /// Lane `l`'s candidate slot: the earliest slot it owns in which it may
-  /// put a message on the bus — exact for buffered messages, a lower bound
-  /// for a request it has not issued yet; kNoSlot when it has nothing left.
-  /// A cached value stays exact while it is >= cur_slot_ and the lane's
-  /// state is unchanged: for cur' >= cur with c >= cur', no slot of the
-  /// lane lies in [cur, c), hence none in [cur', c). Every mutation of the
-  /// lane's buffers or replay state marks the cache stale.
-  [[nodiscard]] std::int64_t candidate_slot(int l) {
+  /// Recomputes lane `l`'s candidate slot: the earliest slot it owns in
+  /// which it may put a message on the bus — exact for buffered messages, a
+  /// lower bound for a request it has not issued yet; kNoSlot when it has
+  /// nothing left. A cached value stays exact while it is >= cur_slot_ and
+  /// the lane's state is unchanged: for cur' >= cur with c >= cur', no slot
+  /// of the lane lies in [cur, c), hence none in [cur', c). Every mutation
+  /// of the lane's buffers or replay state marks the lane stale.
+  void refresh_candidate(int l) {
     const std::size_t s = static_cast<std::size_t>(l);
-    if (candidate_[s] >= cur_slot_) {
-      return candidate_[s];
-    }
     std::int64_t slot = kNoSlot;
     if (blocked_[s] == 0 && pc_[s] < lane_size_[s]) {
       slot = lower_bound_slot(l);
@@ -423,7 +439,6 @@ class ReplayKernel {
       slot = std::min(slot, message_slot(l, buf.front_writeback().enqueued_at));
     }
     candidate_[s] = slot;
-    return slot;
   }
 
   /// TraceCore::run_until on flat lane state.
@@ -491,18 +506,20 @@ class ReplayKernel {
     next_ready_[s] = next_ready;
     if (pc != entry_pc || next_ready != entry_next_ready ||
         gap_applied_[s] != entry_gap_applied) {
-      candidate_[s] = kStaleSlot;
+      mark_stale(l);
     }
   }
 
   /// System::step_slot for the one slot `slot`, advancing only the slot
   /// owner (no other lane can act in it). Returns false when the owner had
-  /// nothing eligible (an idle probe).
+  /// nothing eligible (an idle probe). Either way the owner's candidate —
+  /// `slot` itself, or a bound from before it — is stale afterwards.
   bool execute_slot(std::int64_t slot) {
     const Cycle slot_start = this->slot_start(slot);
     const CoreId owner = owner_of(slot);
     const std::size_t o = static_cast<std::size_t>(owner.value);
     advance_lane(owner.value, slot_start);
+    mark_stale(owner.value);
     // Mirror of System::step_slot step 1b: fire/pump mode transitions at
     // the slot boundary before the owner pick.
     for (const auto& binval : llc_.advance_transition(slot_start)) {
@@ -515,7 +532,7 @@ class ReplayKernel {
         const bus::BusMessage& msg = buffers_[o].request();
         const std::uint64_t request_id = msg.request_id;
         const LineAddr line = msg.line;
-        tracker_.on_presented(request_id, slot_start);
+        tracker_.on_presented(owner, request_id, slot_start);
         const llc::RequestOutcome outcome =
             llc_.handle_request(owner, line, slot_start, msg.access);
         if (outcome.back_invalidation) {
@@ -538,7 +555,7 @@ class ReplayKernel {
               observed_transient_wcl_ = latency;
             }
           }
-          tracker_.on_completed(request_id, completion);
+          tracker_.on_completed(owner, request_id, completion);
           if (victim) {
             handle_private_victim(owner, *victim, completion);
           }
@@ -553,7 +570,6 @@ class ReplayKernel {
         break;
       }
     }
-    candidate_[o] = kStaleSlot;
     return true;
   }
 
@@ -585,7 +601,7 @@ class ReplayKernel {
     for (CoreId owner : binval.owners) {
       const std::size_t o = static_cast<std::size_t>(owner.value);
       advance_lane(owner.value, slot_start);
-      candidate_[o] = kStaleSlot;
+      mark_stale(owner.value);
       const mem::ForcedEviction evicted = caches_[o].force_evict(binval.line);
       if (evicted.was_present) {
         PSLLC_ASSERT(!buffers_[o].has_writeback_for(binval.line),
@@ -696,7 +712,8 @@ class ReplayKernel {
   std::vector<LaneCursor> cursors_;
   std::vector<std::uint64_t> pc_;
   std::vector<std::uint64_t> lane_size_;
-  std::vector<std::int64_t> candidate_;  ///< cached candidate_slot per lane
+  std::vector<std::int64_t> candidate_;  ///< cached candidate slot per lane
+  std::uint64_t stale_ = 0;  ///< bit l: lane l's candidate needs a refresh
   std::vector<Cycle> next_ready_;
   std::vector<Cycle> finish_time_;
   std::vector<std::int64_t> done_slot_;  ///< slot where all_done sees the lane

@@ -5,7 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -70,8 +74,97 @@ TEST(Assert, ThrowsAssertionErrorWithContext) {
   }
 }
 
+// The condition runs inline exactly once whether the check passes or
+// fails; only the message formatting is moved out of line.
+TEST(Assert, EvaluatesConditionExactlyOnce) {
+  int evaluations = 0;
+  auto probe = [&evaluations](bool result) {
+    ++evaluations;
+    return result;
+  };
+  PSLLC_ASSERT(probe(true), "never formatted");
+  EXPECT_EQ(evaluations, 1);
+  int formatted = 0;
+  auto message = [&formatted]() {
+    ++formatted;
+    return "formatted";
+  };
+  PSLLC_ASSERT(probe(true), message());
+  EXPECT_EQ(evaluations, 2);
+  EXPECT_EQ(formatted, 0);
+  EXPECT_THROW(PSLLC_ASSERT(probe(false), message()), AssertionError);
+  EXPECT_EQ(evaluations, 3);
+  EXPECT_EQ(formatted, 1);
+  // Configuration checks share the cold failure path.
+  PSLLC_CONFIG_CHECK(probe(true), message());
+  EXPECT_EQ(evaluations, 4);
+  EXPECT_EQ(formatted, 1);
+  EXPECT_THROW(PSLLC_CONFIG_CHECK(probe(false), message()), ConfigError);
+  EXPECT_EQ(evaluations, 5);
+  EXPECT_EQ(formatted, 2);
+}
+
+// The full text: expression as written, file, line of the check, and the
+// streamed message — manipulators and template argument lists (whose
+// commas split the macro arguments) included.
+TEST(Assert, MessageKeepsExactText) {
+  const std::uint64_t line_addr = 0xbeef;
+  const int expected_line = __LINE__ + 2;
+  try {
+    PSLLC_ASSERT(line_addr == 0, "line 0x" << std::hex << line_addr << std::dec
+                                           << " pair "
+                                           << std::pair<int, int>{7, 8}.second
+                                           << " "
+                                           << std::tuple_size_v<
+                                                  std::tuple<int, char, long>>);
+    FAIL() << "assert did not throw";
+  } catch (const AssertionError& e) {
+    const std::string expected =
+        std::string("PSLLC_ASSERT failed: (line_addr == 0) at ") + __FILE__ +
+        ":" + std::to_string(expected_line) + " — line 0xbeef pair 8 3";
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  // An empty message adds no separator.
+  const int bare_line = __LINE__ + 2;
+  try {
+    PSLLC_ASSERT(line_addr < 16, "");
+    FAIL() << "assert did not throw";
+  } catch (const AssertionError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string("PSLLC_ASSERT failed: (line_addr < 16) at ") +
+                  __FILE__ + ":" + std::to_string(bare_line));
+  }
+}
+
+// Messages may name structured bindings (the LLC's invariant sweeps do), so
+// the out-of-line failure path must still be able to reach them.
+TEST(Assert, MessageMayNameStructuredBindings) {
+  const auto [set, way] = std::pair<int, int>{5, 9};
+  try {
+    PSLLC_ASSERT(set == way, "set " << set << " way " << way);
+    FAIL() << "assert did not throw";
+  } catch (const AssertionError& e) {
+    EXPECT_NE(std::string(e.what()).find("set 5 way 9"), std::string::npos);
+  }
+  const std::map<int, int> table{{1, 2}};
+  for (const auto& [key, value] : table) {
+    EXPECT_THROW(PSLLC_ASSERT(key == value, "key " << key << " value "
+                                                   << value),
+                 AssertionError);
+  }
+}
+
 TEST(Assert, ConfigCheckThrowsConfigError) {
   EXPECT_THROW(PSLLC_CONFIG_CHECK(false, "bad config"), ConfigError);
+  const int bad = 42;
+  try {
+    PSLLC_CONFIG_CHECK(bad < 8, "value 0x" << std::hex << bad << std::dec
+                                           << " exceeds "
+                                           << std::pair<int, int>{8, 9}.first);
+    FAIL() << "config check did not throw";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()), "value 0x2a exceeds 8");
+  }
 }
 
 // PSLLC_AUDIT evaluates (and can throw) only in audit builds; elsewhere the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <map>
 #include <set>
@@ -147,6 +148,67 @@ TEST(Directory, AbsorbRejectsOverlap) {
   a.add_sharer(0x1, CoreId{0});
   b.add_sharer(0x1, CoreId{1});
   EXPECT_THROW(a.absorb(b), AssertionError);
+}
+
+// --- CoreMask ------------------------------------------------------------------
+
+std::vector<CoreId> cores_of(CoreMask mask) {
+  std::vector<CoreId> cores;
+  for (const CoreId core : mask) {
+    cores.push_back(core);
+  }
+  return cores;
+}
+
+TEST(CoreMask, EmptyMaskHasNoCores) {
+  const CoreMask mask;
+  EXPECT_TRUE(mask.empty());
+  EXPECT_EQ(mask.size(), 0u);
+  EXPECT_TRUE(mask.begin() == mask.end());
+  EXPECT_EQ(mask.bits(), 0u);
+  EXPECT_TRUE(cores_of(mask).empty());
+}
+
+TEST(CoreMask, IteratesAscendingIncludingCore63) {
+  const CoreMask mask((std::uint64_t{1} << 63) | (std::uint64_t{1} << 40) |
+                      0b101);
+  EXPECT_FALSE(mask.empty());
+  EXPECT_EQ(mask.size(), 4u);
+  EXPECT_EQ(cores_of(mask), (std::vector<CoreId>{CoreId{0}, CoreId{2},
+                                                 CoreId{40}, CoreId{63}}));
+  EXPECT_EQ(cores_of(CoreMask(~std::uint64_t{0})).size(), 64u);
+  EXPECT_EQ(cores_of(CoreMask(~std::uint64_t{0})).back(), CoreId{63});
+}
+
+// Differential check against the directory's sharers() list: same cores,
+// same (ascending) order, and size() is the popcount.
+TEST(CoreMask, MatchesDirectorySharersForRandomMasks) {
+  Rng rng(0xc03e);
+  std::vector<std::uint64_t> masks{0, 1, std::uint64_t{1} << 63,
+                                   ~std::uint64_t{0}};
+  for (int i = 0; i < 500; ++i) {
+    // Vary the density: sparse, uniform and dense masks.
+    const std::uint64_t a = rng.next_u64();
+    const std::uint64_t b = rng.next_u64();
+    masks.push_back(i % 3 == 0 ? a & b : i % 3 == 1 ? a : a | b);
+  }
+  for (const std::uint64_t bits : masks) {
+    SCOPED_TRACE("mask " + std::to_string(bits));
+    InclusiveDirectory directory(4);
+    const LineAddr line = 0x40;
+    for (int c = 0; c < InclusiveDirectory::kMaxCores; ++c) {
+      if (((bits >> c) & 1) != 0) {
+        directory.add_sharer(line, CoreId{c});
+      }
+    }
+    const CoreMask mask(directory.sharer_mask(line));
+    ASSERT_EQ(mask.bits(), bits);
+    ASSERT_EQ(cores_of(mask), directory.sharers(line));
+    ASSERT_EQ(mask.size(),
+              static_cast<std::size_t>(std::popcount(bits)));
+    ASSERT_EQ(static_cast<int>(mask.size()), directory.sharer_count(line));
+    ASSERT_EQ(mask.empty(), bits == 0);
+  }
 }
 
 using DirectoryModel = std::map<LineAddr, std::set<CoreId>>;
@@ -466,7 +528,7 @@ TEST(PartitionedLlc, FullSetWithOwnedVictimBlocksAndBackInvalidates) {
   ASSERT_TRUE(blocked.back_invalidation.has_value());
   EXPECT_EQ(blocked.back_invalidation->line, 0x1u);  // LRU victim
   ASSERT_EQ(blocked.back_invalidation->owners.size(), 1u);
-  EXPECT_EQ(blocked.back_invalidation->owners[0], CoreId{1});
+  EXPECT_EQ(*blocked.back_invalidation->owners.begin(), CoreId{1});
   EXPECT_TRUE(h.llc.has_pending_request(CoreId{0}));
   // Retry before the write-back: still blocked, no *new* eviction (supply
   // covers demand).
@@ -576,6 +638,8 @@ TEST(PartitionedLlc, MultiSharerBackInvalidationNeedsAllAcks) {
   const auto blocked = h.llc.handle_request(CoreId{0}, 0x5, 0);
   ASSERT_TRUE(blocked.back_invalidation.has_value());
   EXPECT_EQ(blocked.back_invalidation->owners.size(), 2u);
+  EXPECT_EQ(cores_of(blocked.back_invalidation->owners),
+            (std::vector<CoreId>{CoreId{1}, CoreId{2}}));
   EXPECT_FALSE(
       h.llc.handle_writeback(CoreId{1}, 0x1, false, true, 50).freed_entry);
   EXPECT_TRUE(
@@ -592,6 +656,32 @@ TEST(PartitionedLlc, PendingLineExcludedFromHits) {
   // c1 requests the very line being evicted: must be treated as a miss.
   const auto outcome = h.llc.handle_request(CoreId{1}, 0x1, 50);
   EXPECT_EQ(outcome.status, RequestOutcome::Status::kBlocked);
+  h.llc.check_invariants();
+}
+
+// A free way does not let a request allocate a second copy of a line that
+// is still resident, pending invalidation, in the same set: the request
+// waits for the eviction to finish.
+TEST(PartitionedLlc, PendingLineBlocksAllocationIntoAFreeWay) {
+  LlcHarness h(ContentionMode::kBestEffort, 1, 2, 4);
+  h.llc.preload(0x1, {CoreId{2}}, false);
+  h.llc.preload(0x3, {CoreId{2}}, false);
+  // c0 and c1 each start one eviction: 0x1, then 0x3.
+  ASSERT_TRUE(h.llc.handle_request(CoreId{0}, 0x5, 0).back_invalidation);
+  ASSERT_TRUE(h.llc.handle_request(CoreId{1}, 0x7, 10).back_invalidation);
+  // 0x3's owner answers first, so its way is free while 0x1 is pending.
+  EXPECT_TRUE(h.llc.handle_writeback(CoreId{2}, 0x3, false, true, 20)
+                  .freed_entry);
+  ASSERT_EQ(h.llc.free_ways(CoreId{3}, 0x1), 1);
+  const auto blocked = h.llc.handle_request(CoreId{3}, 0x1, 30);
+  EXPECT_EQ(blocked.status, RequestOutcome::Status::kBlocked);
+  EXPECT_EQ(h.llc.free_ways(CoreId{3}, 0x1), 1);
+  h.llc.check_invariants();
+  // Once 0x1 has left the cache, the retry fills.
+  EXPECT_TRUE(h.llc.handle_writeback(CoreId{2}, 0x1, false, true, 40)
+                  .freed_entry);
+  EXPECT_EQ(h.llc.handle_request(CoreId{3}, 0x1, 50).status,
+            RequestOutcome::Status::kFilled);
   h.llc.check_invariants();
 }
 

@@ -58,8 +58,8 @@ TEST(TraceCore, ResponseUnblocksAndAdvances) {
   const std::uint64_t id = h.core.outstanding_request_id();
   const auto victim = h.core.on_response(250);
   EXPECT_FALSE(victim.has_value());
-  h.tracker.on_presented(id, 200);
-  h.tracker.on_completed(id, 250);
+  h.tracker.on_presented(CoreId{0}, id, 200);
+  h.tracker.on_completed(CoreId{0}, id, 250);
   EXPECT_FALSE(h.core.blocked());
   // Second access: L1 hit at 250 -> finishes at 251.
   h.core.run_until(1000);
@@ -84,10 +84,10 @@ TEST(TraceCore, ResponseWithoutRequestAsserts) {
 TEST(RequestTracker, LifecycleAndLatencies) {
   RequestTracker tracker(2, /*keep_records=*/true);
   const auto id = tracker.begin(CoreId{1}, 0x5, AccessType::kWrite, 100);
-  tracker.on_presented(id, 150);
-  tracker.on_presented(id, 350);  // retry keeps first_presented
+  tracker.on_presented(CoreId{1}, id, 150);
+  tracker.on_presented(CoreId{1}, id, 350);  // retry keeps first_presented
   tracker.on_writeback_sent(CoreId{1});
-  tracker.on_completed(id, 400);
+  tracker.on_completed(CoreId{1}, id, 400);
   EXPECT_EQ(tracker.completed_requests(), 1);
   const auto& record = tracker.records().front();
   EXPECT_EQ(record.first_presented, 150);
@@ -113,7 +113,56 @@ TEST(RequestTracker, OneOutstandingPerCore) {
 TEST(RequestTracker, CompletionRequiresPresentation) {
   RequestTracker tracker(1);
   const auto id = tracker.begin(CoreId{0}, 0x1, AccessType::kRead, 0);
-  EXPECT_THROW(tracker.on_completed(id, 100), AssertionError);
+  EXPECT_THROW(tracker.on_completed(CoreId{0}, id, 100), AssertionError);
+}
+
+TEST(RequestTracker, PresentingWithTheWrongCoreAsserts) {
+  RequestTracker tracker(2);
+  const auto id = tracker.begin(CoreId{0}, 0x1, AccessType::kRead, 0);
+  // Core 1 has no request in flight at all.
+  EXPECT_THROW(tracker.on_presented(CoreId{1}, id, 10), AssertionError);
+  // Core 1 has one, but `id` belongs to core 0.
+  const auto other = tracker.begin(CoreId{1}, 0x2, AccessType::kRead, 0);
+  EXPECT_THROW(tracker.on_presented(CoreId{1}, id, 10), AssertionError);
+  EXPECT_THROW(tracker.on_presented(CoreId{0}, other, 10), AssertionError);
+  // Out-of-range and sentinel cores are rejected, not indexed.
+  EXPECT_THROW(tracker.on_presented(CoreId{2}, id, 10), AssertionError);
+  EXPECT_THROW(tracker.on_presented(kNoCore, id, 10), AssertionError);
+  // The failed calls left both records untouched.
+  EXPECT_EQ(tracker.inflight(CoreId{0}).presentations, 0);
+  EXPECT_EQ(tracker.inflight(CoreId{1}).presentations, 0);
+}
+
+TEST(RequestTracker, CompletingWithTheWrongCoreAsserts) {
+  RequestTracker tracker(2);
+  const auto id = tracker.begin(CoreId{0}, 0x1, AccessType::kRead, 0);
+  tracker.on_presented(CoreId{0}, id, 10);
+  EXPECT_THROW(tracker.on_completed(CoreId{1}, id, 20), AssertionError);
+  const auto other = tracker.begin(CoreId{1}, 0x2, AccessType::kRead, 0);
+  tracker.on_presented(CoreId{1}, other, 15);
+  EXPECT_THROW(tracker.on_completed(CoreId{1}, id, 20), AssertionError);
+  EXPECT_EQ(tracker.completed_requests(), 0);
+  EXPECT_TRUE(tracker.has_inflight(CoreId{0}));
+  EXPECT_TRUE(tracker.has_inflight(CoreId{1}));
+}
+
+TEST(RequestTracker, CompletingAStaleIdAsserts) {
+  RequestTracker tracker(1);
+  const auto first = tracker.begin(CoreId{0}, 0x1, AccessType::kRead, 0);
+  tracker.on_presented(CoreId{0}, first, 10);
+  tracker.on_completed(CoreId{0}, first, 20);
+  // Completed: the id no longer names anything in flight.
+  EXPECT_THROW(tracker.on_completed(CoreId{0}, first, 30), AssertionError);
+  // The core's next request does not answer to the old id either.
+  const auto second = tracker.begin(CoreId{0}, 0x2, AccessType::kRead, 40);
+  ASSERT_NE(second, first);
+  tracker.on_presented(CoreId{0}, second, 50);
+  EXPECT_THROW(tracker.on_presented(CoreId{0}, first, 60), AssertionError);
+  EXPECT_THROW(tracker.on_completed(CoreId{0}, first, 60), AssertionError);
+  EXPECT_EQ(tracker.completed_requests(), 1);
+  tracker.on_completed(CoreId{0}, second, 70);
+  EXPECT_EQ(tracker.completed_requests(), 2);
+  EXPECT_EQ(tracker.service_latency(CoreId{0}).max(), 20);
 }
 
 TEST(RequestTracker, WritebackWithoutInflightIsIgnored) {
@@ -131,8 +180,8 @@ TEST(RequestTracker, WorstTracksMaximum) {
   RequestTracker tracker(2);
   for (int i = 1; i <= 3; ++i) {
     const auto id = tracker.begin(CoreId{0}, 0x1, AccessType::kRead, 0);
-    tracker.on_presented(id, 0);
-    tracker.on_completed(id, i * 100);
+    tracker.on_presented(CoreId{0}, id, 0);
+    tracker.on_completed(CoreId{0}, id, i * 100);
   }
   EXPECT_EQ(tracker.worst_request().service_latency(), 300);
   EXPECT_EQ(tracker.service_latency(CoreId{0}).count(), 3);
