@@ -31,9 +31,11 @@ class Logger {
 
   static Logger& instance();
 
-  void set_level(LogLevel level) { level_ = level; }
-  [[nodiscard]] LogLevel level() const { return level_; }
-  [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
+  // The level is a static member so PSLLC_LOG's test is one inline load,
+  // not a call to instance().
+  static void set_level(LogLevel level) { level_ = level; }
+  [[nodiscard]] static LogLevel level() { return level_; }
+  [[nodiscard]] static bool enabled(LogLevel level) { return level >= level_; }
 
   /// Replaces the output sink (default: stderr). Pass nullptr to restore the
   /// default. Returns the previous sink so tests can scope their capture.
@@ -43,7 +45,7 @@ class Logger {
 
  private:
   Logger();
-  LogLevel level_ = LogLevel::kWarn;
+  static inline LogLevel level_ = LogLevel::kWarn;
   Sink sink_;
 };
 
@@ -51,7 +53,7 @@ class Logger {
 
 #define PSLLC_LOG(level, ...)                                      \
   do {                                                             \
-    if (::psllc::Logger::instance().enabled(level)) {              \
+    if (::psllc::Logger::enabled(level)) {                         \
       std::ostringstream psllc_log_oss_;                           \
       psllc_log_oss_ << __VA_ARGS__;                               \
       ::psllc::Logger::instance().write(level, psllc_log_oss_.str()); \

@@ -19,6 +19,8 @@ System::System(const SystemConfig& config, llc::PartitionProgram program)
       tracker_(config_.num_cores, config_.keep_request_records) {
   config_.validate();
   llc_.program().validate(config_.num_cores);
+  // A drain issues at most one back-invalidation per owner core a slot.
+  transition_invals_.reserve(static_cast<std::size_t>(config_.num_cores));
   cores_.reserve(static_cast<std::size_t>(config_.num_cores));
   for (int c = 0; c < config_.num_cores; ++c) {
     cores_.push_back(std::make_unique<TraceCore>(
@@ -68,7 +70,9 @@ void System::step_slot() {
   // 1b. Partition-mode transitions fire at slot boundaries: switch the map,
   // drain incompatible residents (their back-invalidations are delivered
   // like eviction-triggered ones), and fence before releasing new ways.
-  for (const auto& binval : llc_.advance_transition(slot_start)) {
+  transition_invals_.clear();
+  llc_.advance_transition(slot_start, transition_invals_);
+  for (const auto& binval : transition_invals_) {
     deliver_back_invalidation(binval, slot_start);
   }
   // 2. Slot owner puts one message on the bus.

@@ -131,6 +131,8 @@ class System {
   std::int64_t slot_index_ = 0;
   std::int64_t writebacks_cancelled_ = 0;
   Cycle observed_transient_wcl_ = kNoCycle;
+  /// Drain back-invalidations of the current slot (reused every slot).
+  std::vector<llc::BackInvalidation> transition_invals_;
   std::vector<std::function<void(const SlotEvent&)>> observers_;
 };
 

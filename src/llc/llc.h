@@ -22,6 +22,21 @@
 // can increase, Observation 3) and kSetSequencer (the paper's SS — FIFO
 // arrival order enforced by the set sequencer, Theorem 4.8).
 //
+// Contention state is kept incrementally per physical set, the way the
+// sequencer's hardware would hold it in registers (Sec. 4.5): way masks of
+// the entries pending invalidation, the entries draining after a mode
+// switch and the frozen ways, plus a mask of the cores whose pending
+// request maps to the set. Partitions may share a physical set with
+// disjoint way ranges, so demand is the pending-core mask ANDed with the
+// requester's partition cores; supply and the eviction candidates are way
+// masks ANDed with its way range. A per-core route (partition id, its
+// rectangle by value, its sharer mask), rebuilt at construction and at
+// every mode switch, serves every request, write-back and ack without a
+// partition lookup. check_invariants() recomputes the pending-core masks
+// and the routes from scratch; audit builds also recount demand, supply
+// and the candidates core by core and way by way on every eviction
+// decision.
+//
 // The class is a template over the memory-backend type. The default
 // instantiation (`PartitionedLlc`, Memory = mem::MemoryBackend) dispatches
 // DRAM accesses virtually and is the conformance path used by core::System;
@@ -32,14 +47,15 @@
 #ifndef PSLLC_LLC_LLC_H_
 #define PSLLC_LLC_LLC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/types.h"
 #include "llc/directory.h"
 #include "llc/partition.h"
@@ -178,10 +194,12 @@ class BasicPartitionedLlc {
   // become allocatable only at the drain fence — the slot at which the
   // last incompatible line has left the cache.
 
-  /// Begins/advances any due transition; returns the back-invalidations the
-  /// system must deliver to private caches this slot.
-  [[nodiscard]] std::vector<BackInvalidation> advance_transition(
-      Cycle slot_start);
+  /// Begins/advances any due transition and appends the back-invalidations
+  /// the system must deliver to private caches this slot to `out` (a buffer
+  /// the caller reuses, so transitions allocate nothing per slot). Returns
+  /// at once for static programs.
+  void advance_transition(Cycle slot_start,
+                          std::vector<BackInvalidation>& out);
 
   /// True between a transition's begin and its drain fence.
   [[nodiscard]] bool transition_active() const { return transition_active_; }
@@ -277,20 +295,62 @@ class BasicPartitionedLlc {
     Cycle first_presented = kNoCycle;
   };
 
+  /// Where a core's traffic goes under the active map.
+  struct Route {
+    int partition = -1;  ///< -1: the core has no partition in this mode
+    PartitionSpec spec;
+    std::uint64_t cores = 0;  ///< the partition's sharers (bit c = core c)
+    bool operator==(const Route&) const = default;
+  };
+
+  /// Per-physical-set contention state, one bit per way or core. Kept in
+  /// step with the entries and `pending_` at every change.
+  struct SetState {
+    std::uint64_t pending_inval = 0;  ///< ways awaiting back-inval acks
+    /// Ways whose line is incompatible with the active mode and must leave
+    /// the cache before the drain fence.
+    std::uint64_t draining = 0;
+    std::uint64_t frozen = 0;  ///< not allocatable until the drain fence
+    /// Cores whose pending request maps to this set (any partition).
+    std::uint64_t pending_cores = 0;
+  };
+
   struct EntryState {
-    bool pending_inval = false;
     int pending_acks = 0;
-    /// Line is incompatible with the active mode and must leave the cache
-    /// before the drain fence.
-    bool draining = false;
     /// This drain's back-invalidation has been issued (drain bookkeeping
     /// owns the per-core serialization counters).
     bool drain_issued = false;
   };
 
-  [[nodiscard]] int partition_of_checked(CoreId core) const;
+  /// The quantities an eviction decision reads for (partition, set).
+  struct Contention {
+    int demand = 0;  ///< pending requests
+    int supply = 0;  ///< free ways + ways already on their way out
+    std::uint64_t evictable = 0;
+    bool operator==(const Contention&) const = default;
+  };
+
+  /// `core`'s route; asserts that the core has a partition.
+  [[nodiscard]] const Route& route_of(CoreId core) const {
+    const Route& route = routes_[static_cast<std::size_t>(core.value)];
+    PSLLC_ASSERT(route.partition >= 0,
+                 to_string(core) << " has no LLC partition");
+    return route;
+  }
+  /// Writes every core's route under partitions() into `routes` (sized
+  /// num_cores; rebuilt in place so transitions allocate nothing).
+  void compute_routes(std::vector<Route>& routes) const;
+  /// Rebuilds every set's pending-core mask from `pending_`.
+  void rebuild_pending_cores();
+
   [[nodiscard]] mem::CacheSet& set_at(int physical_set);
   [[nodiscard]] const mem::CacheSet& set_at(int physical_set) const;
+  [[nodiscard]] SetState& set_state_at(int physical_set) {
+    return set_states_[static_cast<std::size_t>(physical_set)];
+  }
+  [[nodiscard]] const SetState& set_state_at(int physical_set) const {
+    return set_states_[static_cast<std::size_t>(physical_set)];
+  }
   [[nodiscard]] EntryState& entry_state(int physical_set, int way);
   [[nodiscard]] const EntryState& entry_state(int physical_set, int way) const;
 
@@ -304,31 +364,24 @@ class BasicPartitionedLlc {
   /// Lowest invalid, unfrozen way within the partition's way range, or -1.
   [[nodiscard]] int find_free_way(const PartitionSpec& spec,
                                   int physical_set) const;
-  [[nodiscard]] int count_free_ways(const PartitionSpec& spec,
-                                    int physical_set) const;
-  [[nodiscard]] int count_pending_invals(const PartitionSpec& spec,
-                                         int physical_set) const;
-  [[nodiscard]] int count_pending_requests(int partition,
-                                           int physical_set) const;
+  /// Demand, supply and eviction candidates of `route`'s partition in
+  /// `physical_set`, from the per-set masks.
+  [[nodiscard]] Contention contention(const Route& route,
+                                      int physical_set) const;
+  /// The same, recounted core by core and way by way (audit builds).
+  [[nodiscard]] Contention recount_contention(const Route& route,
+                                              int physical_set) const;
 
   /// Allocation permission under the active contention mode.
   [[nodiscard]] bool may_allocate(SetKey key, CoreId core) const;
 
   void complete_pending(CoreId core, SetKey key);
+  /// Clears every per-entry eviction/drain mark of (set, way).
+  void clear_entry_marks(int physical_set, int way);
   WritebackOutcome apply_back_inval_ack(CoreId core, LineAddr line,
                                         bool dirty_data, Cycle now);
 
-  /// Valid ways of `spec`'s range in `physical_set` that are neither
-  /// pending invalidation nor draining: the eviction candidates.
-  [[nodiscard]] std::uint64_t evictable_ways(const PartitionSpec& spec,
-                                             int physical_set) const;
-
   // --- transition internals ----------------------------------------------
-  /// Frozen ways of `physical_set` (0 outside a transition).
-  [[nodiscard]] std::uint64_t frozen_ways(int physical_set) const {
-    return frozen_.empty() ? 0
-                           : frozen_[static_cast<std::size_t>(physical_set)];
-  }
   /// (set, way) of `line` anywhere in the cache, or (-1, -1). Acks and
   /// write-backs issued before a mode switch may reference pre-transition
   /// locations the active map no longer describes.
@@ -336,6 +389,10 @@ class BasicPartitionedLlc {
   /// True when the resident entry at (set, way) is placed where the active
   /// map would place it and all its sharers belong to that partition.
   [[nodiscard]] bool entry_compatible(int physical_set, int way) const;
+  [[nodiscard]] bool is_draining_line(LineAddr line) const {
+    return std::binary_search(draining_lines_.begin(), draining_lines_.end(),
+                              line);
+  }
   void begin_transition(Cycle slot_start);
   void pump_drain(Cycle slot_start, std::vector<BackInvalidation>& out);
   void complete_transition(Cycle slot_start);
@@ -347,16 +404,18 @@ class BasicPartitionedLlc {
   ContentionMode mode_;
   Memory* memory_;
   std::vector<mem::CacheSet> sets_;
+  std::vector<SetState> set_states_;      ///< indexed by physical set
   std::vector<EntryState> entry_states_;  ///< sets x ways, set-major
   InclusiveDirectory directory_;
   SetSequencer sequencer_;
   std::vector<std::optional<Pending>> pending_;
-  // Transition state (empty/false for static programs).
+  std::vector<Route> routes_;  ///< indexed by core
+  // Transition state (empty/false for static programs). Every buffer is
+  // reserved at construction, so transitions allocate nothing.
   bool transition_active_ = false;
-  /// Per-set frozen-way masks; non-empty only mid-transition.
-  std::vector<std::uint64_t> frozen_;
   std::vector<std::pair<int, int>> drain_queue_;  ///< (set, way) scan order
-  std::set<LineAddr> draining_lines_;
+  /// Lines still draining, sorted and unique.
+  std::vector<LineAddr> draining_lines_;
   int drain_remaining_ = 0;
   std::vector<int> core_drain_busy_;  ///< outstanding drain invals per core
   std::vector<std::pair<Cycle, Cycle>> transition_windows_;

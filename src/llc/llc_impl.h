@@ -19,6 +19,11 @@
 
 namespace psllc::llc {
 
+/// True when way `way` is in the way mask `mask`.
+[[nodiscard]] constexpr bool has_way(std::uint64_t mask, int way) {
+  return ((mask >> way) & 1U) != 0;
+}
+
 template <typename Memory>
 BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
                                                  PartitionProgram program,
@@ -48,11 +53,22 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
                        mix_seed(config_.seed, static_cast<std::uint64_t>(s),
                                 0x11c));
   }
-  entry_states_.resize(
-      static_cast<std::size_t>(config_.geometry.capacity_lines()));
+  set_states_.resize(static_cast<std::size_t>(config_.geometry.num_sets));
+  const auto capacity =
+      static_cast<std::size_t>(config_.geometry.capacity_lines());
+  entry_states_.resize(capacity);
   // By inclusion every line with a private copy is resident, so the LLC's
   // capacity bounds the directory.
   directory_ = InclusiveDirectory(config_.geometry.capacity_lines());
+  routes_.resize(static_cast<std::size_t>(num_cores));
+  compute_routes(routes_);
+  if (!program_.is_static()) {
+    // At most every resident line drains in one transition.
+    drain_queue_.reserve(capacity);
+    draining_lines_.reserve(capacity);
+    transition_windows_.reserve(
+        static_cast<std::size_t>(program_.num_modes() - 1));
+  }
 }
 
 template <typename Memory>
@@ -64,10 +80,37 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
                           mode, num_cores, memory) {}
 
 template <typename Memory>
-int BasicPartitionedLlc<Memory>::partition_of_checked(CoreId core) const {
-  const int pid = partitions().partition_of(core);
-  PSLLC_ASSERT(pid >= 0, to_string(core) << " has no LLC partition");
-  return pid;
+void BasicPartitionedLlc<Memory>::compute_routes(
+    std::vector<Route>& routes) const {
+  const PartitionMap& map = partitions();
+  for (std::size_t c = 0; c < routes.size(); ++c) {
+    routes[c] = Route{};
+    const int pid = map.partition_of(CoreId{static_cast<int>(c)});
+    if (pid < 0) {
+      continue;
+    }
+    routes[c].partition = pid;
+    routes[c].spec = map.spec(pid);
+    for (const CoreId sharer : map.sharers(pid)) {
+      // Sharers beyond num_cores never request; they stay out of the mask.
+      if (sharer.value < static_cast<int>(routes.size())) {
+        routes[c].cores |= std::uint64_t{1} << sharer.value;
+      }
+    }
+  }
+}
+
+template <typename Memory>
+void BasicPartitionedLlc<Memory>::rebuild_pending_cores() {
+  for (SetState& state : set_states_) {
+    state.pending_cores = 0;
+  }
+  for (std::size_t c = 0; c < pending_.size(); ++c) {
+    if (pending_[c]) {
+      set_state_at(pending_[c]->physical_set).pending_cores |=
+          std::uint64_t{1} << c;
+    }
+  }
 }
 
 template <typename Memory>
@@ -121,7 +164,8 @@ int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
 template <typename Memory>
 std::uint64_t BasicPartitionedLlc<Memory>::free_ways_mask(
     const PartitionSpec& spec, int physical_set) const {
-  return ~set_at(physical_set).valid_mask() & ~frozen_ways(physical_set) &
+  return ~set_at(physical_set).valid_mask() &
+         ~set_state_at(physical_set).frozen &
          mem::way_range_mask(spec.first_way, spec.num_ways);
 }
 
@@ -133,50 +177,49 @@ int BasicPartitionedLlc<Memory>::find_free_way(const PartitionSpec& spec,
 }
 
 template <typename Memory>
-int BasicPartitionedLlc<Memory>::count_free_ways(const PartitionSpec& spec,
-                                                 int physical_set) const {
-  return std::popcount(free_ways_mask(spec, physical_set));
-}
-
-template <typename Memory>
-std::uint64_t BasicPartitionedLlc<Memory>::evictable_ways(
-    const PartitionSpec& spec, int physical_set) const {
-  std::uint64_t eligible = set_at(physical_set).valid_mask() &
-                           mem::way_range_mask(spec.first_way, spec.num_ways);
-  for (std::uint64_t m = eligible; m != 0; m &= m - 1) {
-    const int w = std::countr_zero(m);
-    const EntryState& state = entry_state(physical_set, w);
-    if (state.pending_inval || state.draining) {
-      eligible &= ~(std::uint64_t{1} << w);
-    }
-  }
-  return eligible;
-}
-
-template <typename Memory>
-int BasicPartitionedLlc<Memory>::count_pending_invals(
-    const PartitionSpec& spec, int physical_set) const {
+typename BasicPartitionedLlc<Memory>::Contention
+BasicPartitionedLlc<Memory>::contention(const Route& route,
+                                        int physical_set) const {
+  const SetState& state = set_state_at(physical_set);
+  const std::uint64_t range =
+      mem::way_range_mask(route.spec.first_way, route.spec.num_ways);
   // Draining entries count as supply too: the drain frees them, and the
   // fence (which cannot outlast the drain) unfreezes their slots.
-  int count = 0;
-  for (int w = spec.first_way; w < spec.first_way + spec.num_ways; ++w) {
-    const EntryState& state = entry_state(physical_set, w);
-    count += (state.pending_inval || state.draining) ? 1 : 0;
-  }
-  return count;
+  const std::uint64_t leaving = (state.pending_inval | state.draining) & range;
+  return Contention{
+      std::popcount(state.pending_cores & route.cores),
+      std::popcount(free_ways_mask(route.spec, physical_set)) +
+          std::popcount(leaving),
+      set_at(physical_set).valid_mask() & range & ~leaving};
 }
 
 template <typename Memory>
-int BasicPartitionedLlc<Memory>::count_pending_requests(
-    int partition, int physical_set) const {
-  int count = 0;
+typename BasicPartitionedLlc<Memory>::Contention
+BasicPartitionedLlc<Memory>::recount_contention(const Route& route,
+                                                int physical_set) const {
+  Contention counted;
   for (const auto& pending : pending_) {
-    if (pending && pending->partition == partition &&
+    if (pending && pending->partition == route.partition &&
         pending->physical_set == physical_set) {
-      ++count;
+      ++counted.demand;
     }
   }
-  return count;
+  const mem::CacheSet& set = set_at(physical_set);
+  const SetState& state = set_state_at(physical_set);
+  for (int w = route.spec.first_way;
+       w < route.spec.first_way + route.spec.num_ways; ++w) {
+    // Outstanding acks are the per-entry witness of a pending invalidation.
+    const bool leaving = entry_state(physical_set, w).pending_acks > 0 ||
+                         has_way(state.draining, w);
+    if (!set.way(w).valid()) {
+      counted.supply += has_way(state.frozen, w) ? 0 : 1;
+    } else if (leaving) {
+      ++counted.supply;
+    } else {
+      counted.evictable |= std::uint64_t{1} << w;
+    }
+  }
+  return counted;
 }
 
 template <typename Memory>
@@ -198,28 +241,30 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
                                                            LineAddr line,
                                                            Cycle now,
                                                            AccessType access) {
+  const std::uint64_t core_bit = std::uint64_t{1} << core.value;
   if (is_write(access)) {
     // Writing a line that other cores privately cache needs a coherence
     // protocol, which the paper's model excludes (tasks are data-disjoint).
-    const int other_sharers = directory_.sharer_count(line) -
-                              (directory_.is_shared_by(line, core) ? 1 : 0);
-    if (other_sharers > 0) {
+    const std::uint64_t others = directory_.sharer_mask(line) & ~core_bit;
+    if (others != 0) {
       ++stats_.shared_write_flags;
       PSLLC_WARN("write by " << to_string(core) << " to line 0x" << std::hex
                              << line << std::dec << " shared by "
-                             << other_sharers
+                             << std::popcount(others)
                              << " other core(s) — outside the paper's "
                                 "data-disjoint model");
     }
   }
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const Route& route = route_of(core);
+  const int pid = route.partition;
+  const PartitionSpec& spec = route.spec;
   const int pset = spec.map_set(line);
   PSLLC_AUDIT(spec.contains_set(pset),
               "mapped set " << pset << " escapes partition " << pid << " "
                             << spec.to_string());
   const SetKey key{pid, pset};
   mem::CacheSet& set = set_at(pset);
+  SetState& set_state = set_state_at(pset);
 
   auto& pending = pending_[static_cast<std::size_t>(core.value)];
   if (pending) {
@@ -233,8 +278,8 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
   // --- hit path --- (draining entries are on their way out of the cache
   // and must not serve hits: the requester waits for the fresh fill)
   const int hit_way = find_way_raw(spec, pset, line);
-  if (hit_way >= 0 && !entry_state(pset, hit_way).pending_inval &&
-      !entry_state(pset, hit_way).draining) {
+  if (hit_way >= 0 &&
+      !has_way(set_state.pending_inval | set_state.draining, hit_way)) {
     set.touch(hit_way);
     if (!directory_.is_shared_by(line, core)) {
       directory_.add_sharer(line, core);
@@ -249,6 +294,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
   // --- miss path ---
   if (!pending) {
     pending = Pending{line, pid, pset, now};
+    set_state.pending_cores |= core_bit;
   }
 
   RequestOutcome outcome;
@@ -265,7 +311,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
     // way the presentation would have hit above.
     const int way = find_free_way(spec, pset);
     if (way >= 0 && may_allocate(key, core) && hit_way < 0 &&
-        draining_lines_.find(line) == draining_lines_.end()) {
+        !is_draining_line(line)) {
       PSLLC_AUDIT(spec.contains_way(way),
                   "allocated way " << way << " escapes partition " << pid
                                    << " " << spec.to_string());
@@ -275,11 +321,14 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       // (validated by the system configuration against the backend's
       // worst_case_latency()).
       (void)memory_->read(line, now);
-      // Steal accounting: did we allocate past an older waiter?
-      for (const auto& other : pending_) {
-        if (other && other->partition == pid && other->physical_set == pset &&
-            other->line != line &&
-            other->first_presented < pending->first_presented) {
+      // Steal accounting: did we allocate past an older waiter of this
+      // (partition, set)?
+      for (const CoreId other :
+           CoreMask(set_state.pending_cores & route.cores & ~core_bit)) {
+        const Pending& waiter =
+            *pending_[static_cast<std::size_t>(other.value)];
+        if (waiter.line != line &&
+            waiter.first_presented < pending->first_presented) {
           ++stats_.steals;
           break;
         }
@@ -301,19 +350,22 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       sequencer_.enqueue(key, core);
     }
 
-    const int demand = count_pending_requests(pid, pset);
-    const int supply =
-        count_free_ways(spec, pset) + count_pending_invals(spec, pset);
-    if (supply >= demand) {
+    const Contention counts = contention(route, pset);
+    PSLLC_AUDIT(counts == recount_contention(route, pset),
+                "contention masks of partition "
+                    << pid << " at set " << pset
+                    << " diverged from the recount: demand " << counts.demand
+                    << ", supply " << counts.supply << ", evictable 0x"
+                    << std::hex << counts.evictable);
+    if (counts.supply >= counts.demand) {
       break;  // enough entries already free or on their way
     }
-    // Select a victim among valid, not-already-pending ways of this
-    // partition.
-    const std::uint64_t eligible = evictable_ways(spec, pset);
-    if (eligible == 0) {
+    // Select a victim among valid ways of this partition that are neither
+    // pending invalidation nor draining.
+    if (counts.evictable == 0) {
       break;  // every line is already being evicted
     }
-    const int victim = set.select_victim(eligible);
+    const int victim = set.select_victim(counts.evictable);
     PSLLC_ASSERT(victim >= 0, "victim selection failed with eligible ways");
     PSLLC_AUDIT(spec.contains_way(victim),
                 "victim way " << victim << " escapes partition " << pid << " "
@@ -331,7 +383,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       ++stats_.immediate_frees;
       continue;  // re-check allocation with the freed way
     }
-    entry_state(pset, victim).pending_inval = true;
+    set_state.pending_inval |= std::uint64_t{1} << victim;
     entry_state(pset, victim).pending_acks = static_cast<int>(owners.size());
     outcome.back_invalidation = BackInvalidation{victim_line, owners};
     PSLLC_TRACE("LLC: evicting 0x" << std::hex << victim_line << std::dec
@@ -360,7 +412,18 @@ void BasicPartitionedLlc<Memory>::complete_pending(CoreId core, SetKey key) {
       sequencer_.remove(key, core);
     }
   }
+  set_state_at(pending->physical_set).pending_cores &=
+      ~(std::uint64_t{1} << core.value);
   pending.reset();
+}
+
+template <typename Memory>
+void BasicPartitionedLlc<Memory>::clear_entry_marks(int physical_set,
+                                                    int way) {
+  SetState& state = set_state_at(physical_set);
+  state.pending_inval &= ~(std::uint64_t{1} << way);
+  state.draining &= ~(std::uint64_t{1} << way);
+  entry_state(physical_set, way) = EntryState{};
 }
 
 template <typename Memory>
@@ -372,8 +435,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
     return apply_back_inval_ack(core, line, carries_dirty_data, now);
   }
   ++stats_.voluntary_writebacks;
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   int pset = spec.map_set(line);
   int way = find_way_raw(spec, pset, line);
   if (way < 0) {
@@ -386,7 +448,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
   PSLLC_ASSERT(way >= 0, "voluntary write-back for line 0x"
                              << std::hex << line
                              << " absent from inclusive LLC");
-  PSLLC_ASSERT(!entry_state(pset, way).pending_inval,
+  PSLLC_ASSERT(!has_way(set_state_at(pset).pending_inval, way),
                "voluntary write-back raced a back-invalidation for line 0x"
                    << std::hex << line
                    << " — should have been upgraded to freeing");
@@ -402,8 +464,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
 template <typename Memory>
 WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
     CoreId core, LineAddr line, bool dirty_data, Cycle now) {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   int pset = spec.map_set(line);
   int way = find_way_raw(spec, pset, line);
   if (way < 0) {
@@ -416,7 +477,8 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   PSLLC_ASSERT(way >= 0, "back-invalidation ack for line 0x"
                              << std::hex << line << " not in LLC");
   EntryState& state = entry_state(pset, way);
-  PSLLC_ASSERT(state.pending_inval,
+  const SetState& set_state = set_state_at(pset);
+  PSLLC_ASSERT(has_way(set_state.pending_inval, way),
                "ack for line 0x" << std::hex << line
                                  << " that is not pending invalidation");
   PSLLC_ASSERT(state.pending_acks > 0, "pending_acks underflow");
@@ -440,14 +502,14 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   // Last ack: the entry becomes free. Dirty data drains to DRAM.
   PSLLC_ASSERT(directory_.sharer_count(line) == 0,
                "directory still has sharers after the last ack");
-  if (state.draining) {
+  if (has_way(set_state.draining, way)) {
     free_drained_entry(pset, way, now);
   } else {
     if (set.way(way).dirty()) {
       (void)memory_->write(line, now);
     }
     set.invalidate(way);
-    state = EntryState{};
+    clear_entry_marks(pset, way);
   }
   return WritebackOutcome{true};
 }
@@ -478,6 +540,8 @@ void BasicPartitionedLlc<Memory>::drop_pending_request(CoreId core) {
       sequencer_.is_queued(key, core)) {
     sequencer_.remove(key, core);
   }
+  set_state_at(pending->physical_set).pending_cores &=
+      ~(std::uint64_t{1} << core.value);
   pending.reset();
 }
 
@@ -491,7 +555,7 @@ BasicPartitionedLlc<Memory>::entry(int physical_set, int way) const {
   if (view.valid) {
     view.line = meta.line;
     view.dirty = meta.dirty();
-    view.pending_inval = entry_state(physical_set, way).pending_inval;
+    view.pending_inval = has_way(set_state_at(physical_set).pending_inval, way);
     view.pending_acks = entry_state(physical_set, way).pending_acks;
     view.sharers = directory_.sharers(meta.line);
   }
@@ -500,22 +564,20 @@ BasicPartitionedLlc<Memory>::entry(int physical_set, int way) const {
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::find_way(CoreId core, LineAddr line) const {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   return find_way_raw(spec, spec.map_set(line), line);
 }
 
 template <typename Memory>
 int BasicPartitionedLlc<Memory>::free_ways(CoreId core, LineAddr line) const {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
-  return count_free_ways(spec, spec.map_set(line));
+  const PartitionSpec& spec = route_of(core).spec;
+  return std::popcount(free_ways_mask(spec, spec.map_set(line)));
 }
 
 template <typename Memory>
 SetKey BasicPartitionedLlc<Memory>::key_for(CoreId core, LineAddr line) const {
-  const int pid = partition_of_checked(core);
-  return SetKey{pid, partitions().spec(pid).map_set(line)};
+  const Route& route = route_of(core);
+  return SetKey{route.partition, route.spec.map_set(line)};
 }
 
 template <typename Memory>
@@ -536,7 +598,7 @@ void BasicPartitionedLlc<Memory>::preload(LineAddr line,
                                           bool dirty) {
   // Map through the partition of the first sharer, or partition 0 when the
   // line has no private copies.
-  const int pid = sharers.empty() ? 0 : partition_of_checked(sharers.front());
+  const int pid = sharers.empty() ? 0 : route_of(sharers.front()).partition;
   const PartitionSpec& spec = partitions().spec(pid);
   const int pset = spec.map_set(line);
   PSLLC_ASSERT(find_way_raw(spec, pset, line) < 0,
@@ -580,7 +642,7 @@ bool BasicPartitionedLlc<Memory>::entry_compatible(int physical_set,
     if (spec.map_set(meta.line) != physical_set) {
       return false;  // placed where the new mapping would not place it
     }
-    for (const CoreId sharer : directory_.sharers(meta.line)) {
+    for (const CoreId sharer : CoreMask(directory_.sharer_mask(meta.line))) {
       if (map.partition_of(sharer) != p) {
         return false;  // privately held by a core outside this partition
       }
@@ -591,16 +653,15 @@ bool BasicPartitionedLlc<Memory>::entry_compatible(int physical_set,
 }
 
 template <typename Memory>
-std::vector<BackInvalidation> BasicPartitionedLlc<Memory>::advance_transition(
-    Cycle slot_start) {
-  std::vector<BackInvalidation> out;
-  if (program_.is_static() && !transition_active_) {
-    return out;  // static programs never transition (the common fast path)
+void BasicPartitionedLlc<Memory>::advance_transition(
+    Cycle slot_start, std::vector<BackInvalidation>& out) {
+  if (program_.is_static()) {
+    return;  // static programs never transition (the common fast path)
   }
   if (!transition_active_) {
     const Cycle epoch = next_transition_epoch();
     if (epoch == kNoCycle || slot_start < epoch) {
-      return out;
+      return;
     }
     begin_transition(slot_start);
   }
@@ -608,7 +669,6 @@ std::vector<BackInvalidation> BasicPartitionedLlc<Memory>::advance_transition(
   if (drain_remaining_ == 0) {
     complete_transition(slot_start);
   }
-  return out;
 }
 
 template <typename Memory>
@@ -623,7 +683,6 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   // at the drain fence.
   const PartitionMap& from = program_.mode(mode_index_ - 1).map;
   const PartitionMap& to = program_.mode(mode_index_).map;
-  frozen_.assign(static_cast<std::size_t>(config_.geometry.num_sets), 0);
   auto covering = [](const PartitionMap& map, int s, int w) {
     for (int p = 0; p < map.num_partitions(); ++p) {
       if (map.spec(p).contains_set(s) && map.spec(p).contains_way(w)) {
@@ -641,16 +700,12 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
     if (fp < 0) {
       return false;  // uncovered in both modes
     }
-    const PartitionSpec& fs = from.spec(fp);
-    const PartitionSpec& ts = to.spec(tp);
-    return fs.first_set != ts.first_set || fs.num_sets != ts.num_sets ||
-           fs.first_way != ts.first_way || fs.num_ways != ts.num_ways ||
-           fs.mapping != ts.mapping || from.sharers(fp) != to.sharers(tp);
+    return from.spec(fp) != to.spec(tp) || from.sharers(fp) != to.sharers(tp);
   };
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
       if (assignment_changed(s, w)) {
-        frozen_[static_cast<std::size_t>(s)] |= std::uint64_t{1} << w;
+        set_state_at(s).frozen |= std::uint64_t{1} << w;
       }
     }
   }
@@ -665,30 +720,35 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
       if (!set_at(s).way(w).valid() || entry_compatible(s, w)) {
         continue;
       }
-      EntryState& state = entry_state(s, w);
-      state.draining = true;
+      set_state_at(s).draining |= std::uint64_t{1} << w;
       // Evictions already in flight keep their issued acks; the drain
       // only adopts them (drain_issued stays false — their owners were
       // charged by the original eviction, not the drain serializer).
       drain_queue_.emplace_back(s, w);
-      draining_lines_.insert(set_at(s).way(w).line);
+      draining_lines_.push_back(set_at(s).way(w).line);
       ++drain_remaining_;
     }
   }
+  std::sort(draining_lines_.begin(), draining_lines_.end());
+  draining_lines_.erase(
+      std::unique(draining_lines_.begin(), draining_lines_.end()),
+      draining_lines_.end());
 
   // The mode's partition ids renumber SetKeys: reset ordering state and
   // re-anchor every pending request under the new map. Blocked cores
   // re-enqueue deterministically at their next presentation.
+  compute_routes(routes_);
   sequencer_.clear();
   for (std::size_t c = 0; c < pending_.size(); ++c) {
     auto& pending = pending_[c];
     if (!pending) {
       continue;
     }
-    const int pid = partition_of_checked(CoreId{static_cast<int>(c)});
-    pending->partition = pid;
-    pending->physical_set = partitions().spec(pid).map_set(pending->line);
+    const Route& route = route_of(CoreId{static_cast<int>(c)});
+    pending->partition = route.partition;
+    pending->physical_set = route.spec.map_set(pending->line);
   }
+  rebuild_pending_cores();
 }
 
 template <typename Memory>
@@ -696,11 +756,11 @@ void BasicPartitionedLlc<Memory>::pump_drain(
     Cycle slot_start, std::vector<BackInvalidation>& out) {
   for (const auto& [s, w] : drain_queue_) {
     const mem::CacheSet& set = set_at(s);
-    EntryState& state = entry_state(s, w);
-    if (!set.way(w).valid() || !state.draining) {
+    SetState& set_state = set_state_at(s);
+    if (!set.way(w).valid() || !has_way(set_state.draining, w)) {
       continue;  // already freed by an earlier ack or pump
     }
-    if (state.pending_inval) {
+    if (has_way(set_state.pending_inval, w)) {
       continue;  // invalidation in flight (drain-issued or pre-transition)
     }
     const LineAddr line = set.way(w).line;
@@ -723,7 +783,8 @@ void BasicPartitionedLlc<Memory>::pump_drain(
     if (!owners_free) {
       continue;
     }
-    state.pending_inval = true;
+    EntryState& state = entry_state(s, w);
+    set_state.pending_inval |= std::uint64_t{1} << w;
     state.pending_acks = static_cast<int>(owners.size());
     state.drain_issued = true;
     for (const CoreId owner : owners) {
@@ -751,8 +812,12 @@ void BasicPartitionedLlc<Memory>::free_drained_entry(int physical_set,
                     << memory_->config().wq_capacity);
   }
   set.invalidate(way);
-  entry_state(physical_set, way) = EntryState{};
-  draining_lines_.erase(line);
+  clear_entry_marks(physical_set, way);
+  const auto it =
+      std::lower_bound(draining_lines_.begin(), draining_lines_.end(), line);
+  if (it != draining_lines_.end() && *it == line) {
+    draining_lines_.erase(it);
+  }
   PSLLC_ASSERT(drain_remaining_ > 0, "drain_remaining underflow");
   --drain_remaining_;
 }
@@ -761,7 +826,9 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::complete_transition(Cycle slot_start) {
   PSLLC_ASSERT(transition_active_ && drain_remaining_ == 0,
                "fence before the drain finished");
-  frozen_.clear();
+  for (SetState& state : set_states_) {
+    state.frozen = 0;
+  }
   drain_queue_.clear();
   PSLLC_ASSERT(draining_lines_.empty(),
                "drained lines left behind at the fence");
@@ -772,7 +839,8 @@ void BasicPartitionedLlc<Memory>::complete_transition(Cycle slot_start) {
   // still in flight) sits inside its current mode's rectangle.
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (!set_at(s).way(w).valid() || entry_state(s, w).pending_inval) {
+      if (!set_at(s).way(w).valid() ||
+          has_way(set_state_at(s).pending_inval, w)) {
         continue;
       }
       PSLLC_AUDIT(entry_compatible(s, w),
@@ -798,17 +866,29 @@ bool BasicPartitionedLlc<Memory>::overlaps_transition(Cycle a,
 
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::check_invariants() const {
+  // Drain bookkeeping: the (set, way) slots listed at the transition's
+  // begin; only they may drain, and exactly drain_remaining_ of them do.
+  std::vector<std::uint64_t> drain_listed(set_states_.size(), 0);
+  for (const auto& [s, w] : drain_queue_) {
+    drain_listed[static_cast<std::size_t>(s)] |= std::uint64_t{1} << w;
+  }
+  int draining_ways = 0;
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     const mem::CacheSet& set = set_at(s);
+    const SetState& set_state = set_state_at(s);
+    const std::uint64_t leaving = set_state.pending_inval | set_state.draining;
+    PSLLC_ASSERT((leaving & ~set.valid_mask()) == 0,
+                 "invalid entry with pending eviction state at set " << s);
+    PSLLC_ASSERT(
+        (set_state.draining & ~drain_listed[static_cast<std::size_t>(s)]) ==
+            0,
+        "set " << s << " drains a way its transition did not list");
+    PSLLC_ASSERT(transition_active_ || set_state.frozen == 0,
+                 "set " << s << " frozen outside a transition");
+    draining_ways += std::popcount(set_state.draining);
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
       const EntryState& state = entry_state(s, w);
-      if (!set.way(w).valid()) {
-        PSLLC_ASSERT(!state.pending_inval && state.pending_acks == 0,
-                     "invalid entry with pending eviction state at set "
-                         << s << " way " << w);
-        continue;
-      }
-      if (state.pending_inval) {
+      if (has_way(set_state.pending_inval, w)) {
         PSLLC_ASSERT(state.pending_acks > 0,
                      "pending invalidation without outstanding acks");
         PSLLC_ASSERT(state.pending_acks ==
@@ -817,9 +897,43 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
                      "line 0x" << std::hex << set.way(w).line);
       } else {
         PSLLC_ASSERT(state.pending_acks == 0,
-                     "acks outstanding without pending invalidation");
+                     "acks outstanding without pending invalidation at set "
+                         << s << " way " << w);
       }
     }
+  }
+  PSLLC_ASSERT(draining_ways == drain_remaining_,
+               draining_ways << " draining ways but " << drain_remaining_
+                             << " drains outstanding");
+  // Per-set pending-core masks match pending_, and every pending request is
+  // anchored where its core's route maps its line.
+  std::vector<std::uint64_t> pending_cores(set_states_.size(), 0);
+  for (std::size_t c = 0; c < pending_.size(); ++c) {
+    if (const auto& pending = pending_[c]) {
+      const Route& route = routes_[c];
+      PSLLC_ASSERT(pending->partition == route.partition &&
+                       pending->physical_set ==
+                           route.spec.map_set(pending->line),
+                   "c" << c << " pending at (partition " << pending->partition
+                       << ", set " << pending->physical_set
+                       << ") off its route");
+      pending_cores[static_cast<std::size_t>(pending->physical_set)] |=
+          std::uint64_t{1} << c;
+    }
+  }
+  for (std::size_t s = 0; s < set_states_.size(); ++s) {
+    PSLLC_ASSERT(set_states_[s].pending_cores == pending_cores[s],
+                 "pending-core mask of set " << s << " is 0x" << std::hex
+                                             << set_states_[s].pending_cores
+                                             << ", pending_ gives 0x"
+                                             << pending_cores[s]);
+  }
+  // The route table is the active map's.
+  std::vector<Route> routes(routes_.size());
+  compute_routes(routes);
+  for (std::size_t c = 0; c < routes.size(); ++c) {
+    PSLLC_ASSERT(routes_[c] == routes[c],
+                 "route of c" << c << " is stale for mode " << mode_index_);
   }
   // Every sequencer waiter must have a pending request under the queue's
   // key. (A pending request is queued only after its first blocked
@@ -851,14 +965,17 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::adopt_solo_lane(
     const BasicPartitionedLlc& solo, CoreId core) {
-  const int pid = partition_of_checked(core);
-  const PartitionSpec& spec = partitions().spec(pid);
+  const PartitionSpec& spec = route_of(core).spec;
   // Composition is gated on set-disjoint partitions, so the whole set rows
   // of `core`'s partition belong to this lane alone.
   for (int s = spec.first_set; s < spec.first_set + spec.num_sets; ++s) {
     sets_[static_cast<std::size_t>(s)] =
         solo.sets_[static_cast<std::size_t>(s)];
   }
+  // The rows' per-set masks come along, pending-core bits included: the
+  // only pending request in them is `core`'s.
+  std::copy_n(solo.set_states_.begin() + spec.first_set, spec.num_sets,
+              set_states_.begin() + spec.first_set);
   const auto row = static_cast<std::ptrdiff_t>(config_.geometry.num_ways);
   std::copy_n(solo.entry_states_.begin() + spec.first_set * row,
               spec.num_sets * row, entry_states_.begin() + spec.first_set * row);

@@ -68,6 +68,8 @@ struct PartitionSpec {
   void validate(const mem::CacheGeometry& geometry) const;
 
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const PartitionSpec&) const = default;
 };
 
 /// Assignment of cores to partitions. Every core accessing the LLC must be

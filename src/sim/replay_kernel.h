@@ -165,6 +165,8 @@ class ReplayKernel {
     blocked_.assign(count, 0);
     out_addr_.assign(count, 0);
     out_type_.assign(count, AccessType::kRead);
+    // A drain issues at most one back-invalidation per owner core a slot.
+    transition_invals_.reserve(count);
     caches_.reserve(count);
     buffers_.reserve(count);
     for (int c = 0; c < n; ++c) {
@@ -522,7 +524,9 @@ class ReplayKernel {
     mark_stale(owner.value);
     // Mirror of System::step_slot step 1b: fire/pump mode transitions at
     // the slot boundary before the owner pick.
-    for (const auto& binval : llc_.advance_transition(slot_start)) {
+    transition_invals_.clear();
+    llc_.advance_transition(slot_start, transition_invals_);
+    for (const auto& binval : transition_invals_) {
       deliver_back_invalidation(binval, slot_start);
     }
     switch (buffers_[o].pick(slot_start)) {
@@ -693,6 +697,8 @@ class ReplayKernel {
   llc::BasicPartitionedLlc<Backend> llc_;
   core::RequestTracker tracker_;
   Cycle observed_transient_wcl_ = kNoCycle;
+  /// Drain back-invalidations of the current slot (reused every slot).
+  std::vector<llc::BackInvalidation> transition_invals_;
 
   // Slot clock (fixed by start(), advanced by run_to_horizon()).
   std::int64_t horizon_ = 0;

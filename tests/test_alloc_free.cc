@@ -1,6 +1,7 @@
 // The replay kernel's slot loop allocates nothing: every heap allocation of
 // a sim::replay() call belongs to its set-up (kernel, caches, buffers) or to
-// the metric fill, so doubling the horizon must not add a single one.
+// the metric fill, so doubling the horizon must not add a single one — not
+// even across partition-mode transitions.
 //
 // This suite is its own executable because it replaces the global
 // operator new/delete with counting versions; it is only built when no
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/system_config.h"
+#include "llc/partition.h"
 #include "sim/replay.h"
 #include "sim/workload.h"
 
@@ -135,6 +137,48 @@ TEST(AllocFree, SharedPartitionSlotLoopDoesNotAllocate) {
 // the core's own lines.
 TEST(AllocFree, PrivatePartitionSlotLoopDoesNotAllocate) {
   expect_horizon_independent_allocations("P(8,2)");
+}
+
+// A 2-core SS(32,2,2) bounce/restore program: the partition moves two ways
+// between H and 2H and moves back between 2H and completion. Each mode
+// transition freezes ways, drains every resident line (write-backs and
+// back-invalidations) and fences, and none of that may allocate either.
+TEST(AllocFree, RepartitionSlotLoopDoesNotAllocate) {
+  constexpr int kCores = 2;
+  RandomWorkloadOptions options;
+  options.range_bytes = 8192;
+  options.accesses = 2000;
+  const std::vector<core::Trace> traces =
+      make_disjoint_random_workload(kCores, options, 8);
+  core::ExperimentSetup setup = core::make_paper_setup("SS(32,2,2)", kCores);
+  const Cycle horizon =
+      replay_counted(setup, traces, RunOptions{}.max_cycles)
+          .result.metrics.end_cycle /
+      4;
+  ASSERT_GT(horizon, 0);
+  const llc::PartitionMap initial = setup.partitions();
+  llc::PartitionProgram program(initial);
+  program.add_mode(llc::make_way_bounced_map(initial, 2), horizon * 3 / 2, {},
+                   "bounce");
+  program.add_mode(initial, horizon * 5 / 2, {}, "restore");
+  setup.program = std::move(program);
+
+  const CountedReplay once = replay_counted(setup, traces, horizon);
+  const CountedReplay twice = replay_counted(setup, traces, 2 * horizon);
+  const CountedReplay full =
+      replay_counted(setup, traces, RunOptions{}.max_cycles);
+  ASSERT_TRUE(full.result.used_kernel);
+  ASSERT_TRUE(full.result.metrics.completed);
+  EXPECT_EQ(once.result.metrics.llc_stats.repartitions, 0);
+  EXPECT_EQ(twice.result.metrics.llc_stats.repartitions, 1);
+  EXPECT_EQ(full.result.metrics.llc_stats.repartitions, 2);
+  // Both drains really moved lines out, through both of their paths.
+  EXPECT_GT(twice.result.metrics.llc_stats.drain_back_invals, 0);
+  EXPECT_GT(full.result.metrics.llc_stats.drain_back_invals,
+            twice.result.metrics.llc_stats.drain_back_invals);
+  EXPECT_GT(full.result.metrics.llc_stats.drain_writebacks, 0);
+  EXPECT_EQ(twice.allocations, once.allocations);
+  EXPECT_EQ(full.allocations, once.allocations);
 }
 
 // The counter itself works, so a zero difference above means something.

@@ -685,6 +685,122 @@ TEST(PartitionedLlc, PendingLineBlocksAllocationIntoAFreeWay) {
   h.llc.check_invariants();
 }
 
+// Two partitions share physical set 0 with disjoint way ranges: A = ways
+// 0-1 for {c0, c1}, B = ways 2-3 for {c2, c3}. Demand and steals are per
+// (partition, set), so A's waiter must neither inflate B's demand (an extra
+// eviction) nor count as the older waiter B's fill steals from.
+TEST(PartitionedLlc, PendingRequestCountsOnlyInItsOwnPartition) {
+  LlcConfig config;
+  mem::FixedLatencyBackend dram(mem::DramConfig{});
+  PartitionMap map(config.geometry);
+  map.add_partition(PartitionSpec{0, 1, 0, 2}, {CoreId{0}, CoreId{1}});
+  map.add_partition(PartitionSpec{0, 1, 2, 2}, {CoreId{2}, CoreId{3}});
+  PartitionedLlc llc(config, std::move(map), ContentionMode::kBestEffort, 4,
+                     dram);
+  llc.preload(0x1, {CoreId{0}}, false);
+  llc.preload(0x3, {CoreId{0}}, false);
+  llc.preload(0x5, {CoreId{2}}, false);
+  llc.preload(0x7, {CoreId{2}}, false);
+  ASSERT_EQ(llc.key_for(CoreId{1}, 0x9).physical_set,
+            llc.key_for(CoreId{3}, 0xb).physical_set);
+
+  // c1 blocks in A (the older waiter) and starts evicting 0x1.
+  const auto a_blocked = llc.handle_request(CoreId{1}, 0x9, 0);
+  EXPECT_EQ(a_blocked.status, RequestOutcome::Status::kBlocked);
+  ASSERT_TRUE(a_blocked.back_invalidation.has_value());
+  EXPECT_EQ(a_blocked.back_invalidation->line, 0x1u);
+  // c3 blocks in B: B's demand is c3 alone, so one eviction (0x5).
+  const auto b_blocked = llc.handle_request(CoreId{3}, 0xb, 10);
+  EXPECT_EQ(b_blocked.status, RequestOutcome::Status::kBlocked);
+  ASSERT_TRUE(b_blocked.back_invalidation.has_value());
+  EXPECT_EQ(b_blocked.back_invalidation->line, 0x5u);
+  llc.check_invariants();
+  // B's supply (0x5 leaving) covers B's demand: no second eviction, which
+  // counting c1 would have started.
+  const auto b_retry = llc.handle_request(CoreId{3}, 0xb, 20);
+  EXPECT_EQ(b_retry.status, RequestOutcome::Status::kBlocked);
+  EXPECT_FALSE(b_retry.back_invalidation.has_value());
+  // 0x5 leaves; c3 fills past c1, which waits in A, not B: no steal.
+  EXPECT_TRUE(llc.handle_writeback(CoreId{2}, 0x5, false, true, 30)
+                  .freed_entry);
+  EXPECT_EQ(llc.handle_request(CoreId{3}, 0xb, 40).status,
+            RequestOutcome::Status::kFilled);
+  EXPECT_EQ(llc.find_way(CoreId{3}, 0xb), 2);
+  EXPECT_TRUE(llc.has_pending_request(CoreId{1}));
+  llc.check_invariants();
+  // A's demand still counts A's own waiters: c0 joins c1 against one
+  // leaving way and starts the second A eviction (0x3).
+  const auto a_second = llc.handle_request(CoreId{0}, 0xd, 50);
+  EXPECT_EQ(a_second.status, RequestOutcome::Status::kBlocked);
+  ASSERT_TRUE(a_second.back_invalidation.has_value());
+  EXPECT_EQ(a_second.back_invalidation->line, 0x3u);
+  llc.check_invariants();
+
+  const LlcStats& stats = llc.stats();
+  EXPECT_EQ(stats.hit_presentations, 0);
+  EXPECT_EQ(stats.blocked_presentations, 4);
+  EXPECT_EQ(stats.fills, 1);
+  EXPECT_EQ(stats.evictions_started, 3);
+  EXPECT_EQ(stats.immediate_frees, 0);
+  EXPECT_EQ(stats.freeing_writebacks, 1);
+  EXPECT_EQ(stats.steals, 0);
+}
+
+// A mode switch moves c0's partition from sets 0-1 to sets 4-5 while c0
+// waits: its pending request, route and per-set pending-core bit must all
+// follow it to the new set, and the drain must finish before it fills.
+TEST(PartitionedLlc, PendingRequestFollowsItsCoreAcrossATransition) {
+  LlcConfig config;
+  mem::FixedLatencyBackend dram(mem::DramConfig{});
+  PartitionMap before(config.geometry);
+  before.add_partition(PartitionSpec{0, 2, 0, 2}, {CoreId{0}});
+  before.add_partition(PartitionSpec{2, 2, 0, 2}, {CoreId{1}});
+  PartitionMap after(config.geometry);
+  after.add_partition(PartitionSpec{4, 2, 0, 2}, {CoreId{0}});
+  after.add_partition(PartitionSpec{2, 2, 0, 2}, {CoreId{1}});
+  PartitionProgram program(std::move(before));
+  program.add_mode(std::move(after), 100);
+  PartitionedLlc llc(config, std::move(program), ContentionMode::kSetSequencer,
+                     2, dram);
+  llc.preload(0x0, {CoreId{0}}, false);
+  llc.preload(0x2, {CoreId{0}}, false);
+  const auto blocked = llc.handle_request(CoreId{0}, 0x4, 0);
+  ASSERT_TRUE(blocked.back_invalidation.has_value());
+  EXPECT_EQ(blocked.back_invalidation->line, 0x0u);
+  EXPECT_EQ(llc.key_for(CoreId{0}, 0x4).physical_set, 0);
+
+  // The switch drains both old lines: 0x0 keeps its in-flight eviction,
+  // 0x2 gets a drain back-invalidation.
+  std::vector<BackInvalidation> drain;
+  llc.advance_transition(100, drain);
+  ASSERT_EQ(drain.size(), 1u);
+  EXPECT_EQ(drain[0].line, 0x2u);
+  EXPECT_TRUE(llc.transition_active());
+  EXPECT_EQ(llc.key_for(CoreId{0}, 0x4).physical_set, 4);
+  llc.check_invariants();
+  // The new ways stay frozen until the fence: the retry blocks.
+  EXPECT_EQ(llc.handle_request(CoreId{0}, 0x4, 150).status,
+            RequestOutcome::Status::kBlocked);
+  llc.check_invariants();
+  EXPECT_TRUE(llc.handle_writeback(CoreId{0}, 0x0, false, true, 160)
+                  .freed_entry);
+  EXPECT_TRUE(llc.handle_writeback(CoreId{0}, 0x2, false, true, 170)
+                  .freed_entry);
+  drain.clear();
+  llc.advance_transition(200, drain);
+  EXPECT_TRUE(drain.empty());
+  EXPECT_FALSE(llc.transition_active());
+  llc.check_invariants();
+  EXPECT_EQ(llc.handle_request(CoreId{0}, 0x4, 250).status,
+            RequestOutcome::Status::kFilled);
+  EXPECT_EQ(llc.find_way(CoreId{0}, 0x4), 0);
+  llc.check_invariants();
+  EXPECT_EQ(llc.stats().repartitions, 1);
+  EXPECT_EQ(llc.stats().drain_back_invals, 1);
+  EXPECT_EQ(llc.stats().blocked_presentations, 2);
+  EXPECT_EQ(llc.stats().fills, 1);
+}
+
 TEST(PartitionedLlc, SilentEvictionKeepsLineDropsSharer) {
   LlcHarness h(ContentionMode::kBestEffort, 4, 2, 2);
   (void)h.llc.handle_request(CoreId{0}, 0x10, 0);
