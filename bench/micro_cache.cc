@@ -1,17 +1,20 @@
 // Google-benchmark microbenchmarks for the hot data structures: cache
-// lookup/fill, replacement victim selection, the set sequencer, the pending
-// write-back buffer, and the LLC's three-slot eviction round trip.
+// lookup/fill, replacement victim selection, a private-hierarchy miss round
+// trip, the set sequencer, the pending write-back buffer, and the LLC's
+// three-slot eviction round trip.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <vector>
 
 #include "bus/pending_buffers.h"
 #include "common/rng.h"
 #include "llc/llc.h"
 #include "llc/set_sequencer.h"
-#include "mem/cache_set.h"
 #include "mem/memory_backend.h"
+#include "mem/private_cache.h"
 #include "mem/set_assoc_cache.h"
+#include "mem/set_store.h"
 
 namespace {
 
@@ -40,14 +43,14 @@ BENCHMARK(BM_CacheFillEvict);
 
 void BM_VictimSelection(benchmark::State& state) {
   const auto kind = static_cast<mem::ReplacementKind>(state.range(0));
-  mem::CacheSet set(16, kind, 7);
+  mem::SetStore set(1, 16, kind, 7);
   for (int w = 0; w < 16; ++w) {
-    set.insert(static_cast<LineAddr>(w), w, mem::LineState::kClean);
+    set.insert(0, static_cast<LineAddr>(w), w, mem::LineState::kClean);
   }
   // Every other way, like an LLC partition with evictions in flight.
   const std::uint64_t eligible = 0x5555;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(set.select_victim(eligible));
+    benchmark::DoNotOptimize(set.select_victim(0, eligible));
   }
 }
 BENCHMARK(BM_VictimSelection)
@@ -56,6 +59,55 @@ BENCHMARK(BM_VictimSelection)
     ->Arg(static_cast<int>(mem::ReplacementKind::kRandom))
     ->Arg(static_cast<int>(mem::ReplacementKind::kNmru))
     ->Arg(static_cast<int>(mem::ReplacementKind::kTreePlru));
+
+// One core's private hierarchy (the paper's L1I 4x2, L1D 4x4, L2 16x4) on
+// the miss path a replay takes: a store misses both levels, the fill
+// replaces an L2 victim that is purged from the L1s, and a
+// back-invalidation removes the new line again (present and dirty). The
+// victim is then fetched back into the freed way, so every round trip
+// starts from a full L2 set. Data only, so L1I holds no lines.
+void BM_PrivateHierarchyMissFill(benchmark::State& state) {
+  const mem::PrivateCacheConfig config;
+  mem::PrivateCacheHierarchy caches(config, 11);
+  const auto sets = static_cast<LineAddr>(config.l2.num_sets);
+  const auto ways = static_cast<LineAddr>(config.l2.num_ways);
+  auto addr_of = [&](LineAddr line) {
+    return static_cast<Addr>(line * static_cast<LineAddr>(
+                                        config.l2.line_bytes));
+  };
+  // Fill L2 set 0 (lines that are multiples of the set count).
+  LineAddr next = 0;
+  for (; next < ways; ++next) {
+    (void)caches.fill(addr_of(next * sets), AccessType::kRead, false);
+  }
+  for (auto _ : state) {
+    const LineAddr line = next++ * sets;
+    if (caches.access(addr_of(line), AccessType::kWrite) !=
+        mem::HitLevel::kMiss) {
+      state.SkipWithError("a fresh line hit");
+      break;
+    }
+    const std::optional<mem::Evicted> victim =
+        caches.fill(addr_of(line), AccessType::kWrite, true);
+    if (!victim) {
+      state.SkipWithError("a fill into a full L2 set evicted nothing");
+      break;
+    }
+    const mem::ForcedEviction evicted = caches.force_evict(line);
+    benchmark::DoNotOptimize(evicted);
+    if (!evicted.was_present || !evicted.was_dirty) {
+      state.SkipWithError("back-invalidation missed the dirty line");
+      break;
+    }
+    const Addr back = addr_of(victim->line);
+    if (caches.access(back, AccessType::kRead) != mem::HitLevel::kMiss ||
+        caches.fill(back, AccessType::kRead, false).has_value()) {
+      state.SkipWithError("the victim did not refill the freed way");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_PrivateHierarchyMissFill);
 
 void BM_SetSequencerCycle(benchmark::State& state) {
   llc::SetSequencer sequencer(4, 4);

@@ -60,8 +60,8 @@
 #include "llc/directory.h"
 #include "llc/partition.h"
 #include "llc/set_sequencer.h"
-#include "mem/cache_set.h"
 #include "mem/memory_backend.h"
+#include "mem/set_store.h"
 
 namespace psllc::llc {
 
@@ -343,8 +343,6 @@ class BasicPartitionedLlc {
   /// Rebuilds every set's pending-core mask from `pending_`.
   void rebuild_pending_cores();
 
-  [[nodiscard]] mem::CacheSet& set_at(int physical_set);
-  [[nodiscard]] const mem::CacheSet& set_at(int physical_set) const;
   [[nodiscard]] SetState& set_state_at(int physical_set) {
     return set_states_[static_cast<std::size_t>(physical_set)];
   }
@@ -403,7 +401,7 @@ class BasicPartitionedLlc {
   int mode_index_ = 0;
   ContentionMode mode_;
   Memory* memory_;
-  std::vector<mem::CacheSet> sets_;
+  mem::SetStore sets_;  ///< lines and replacement state of every set
   std::vector<SetState> set_states_;      ///< indexed by physical set
   std::vector<EntryState> entry_states_;  ///< sets x ways, set-major
   InclusiveDirectory directory_;

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/rng.h"
 
 namespace psllc::llc {
 
@@ -47,12 +46,9 @@ BasicPartitionedLlc<Memory>::BasicPartitionedLlc(const LlcConfig& config,
           program_.geometry().num_ways == config_.geometry.num_ways &&
           program_.geometry().line_bytes == config_.geometry.line_bytes,
       "partition program geometry differs from LLC geometry");
-  sets_.reserve(static_cast<std::size_t>(config_.geometry.num_sets));
-  for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    sets_.emplace_back(config_.geometry.num_ways, config_.replacement,
-                       mix_seed(config_.seed, static_cast<std::uint64_t>(s),
-                                0x11c));
-  }
+  // Set s's replacement stream is seeded with mix_seed(seed, s, 0x11c).
+  sets_ = mem::SetStore(config_.geometry.num_sets, config_.geometry.num_ways,
+                        config_.replacement, config_.seed, 0x11c);
   set_states_.resize(static_cast<std::size_t>(config_.geometry.num_sets));
   const auto capacity =
       static_cast<std::size_t>(config_.geometry.capacity_lines());
@@ -114,21 +110,6 @@ void BasicPartitionedLlc<Memory>::rebuild_pending_cores() {
 }
 
 template <typename Memory>
-mem::CacheSet& BasicPartitionedLlc<Memory>::set_at(int physical_set) {
-  PSLLC_ASSERT(physical_set >= 0 && physical_set < config_.geometry.num_sets,
-               "set " << physical_set);
-  return sets_[static_cast<std::size_t>(physical_set)];
-}
-
-template <typename Memory>
-const mem::CacheSet& BasicPartitionedLlc<Memory>::set_at(
-    int physical_set) const {
-  PSLLC_ASSERT(physical_set >= 0 && physical_set < config_.geometry.num_sets,
-               "set " << physical_set);
-  return sets_[static_cast<std::size_t>(physical_set)];
-}
-
-template <typename Memory>
 typename BasicPartitionedLlc<Memory>::EntryState&
 BasicPartitionedLlc<Memory>::entry_state(int physical_set, int way) {
   return entry_states_[static_cast<std::size_t>(physical_set) *
@@ -148,23 +129,13 @@ template <typename Memory>
 int BasicPartitionedLlc<Memory>::find_way_raw(const PartitionSpec& spec,
                                               int physical_set,
                                               LineAddr line) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  const auto lines = set.lines();
-  for (std::uint64_t m = set.valid_mask() &
-                         mem::way_range_mask(spec.first_way, spec.num_ways);
-       m != 0; m &= m - 1) {
-    const int w = std::countr_zero(m);
-    if (lines[static_cast<std::size_t>(w)].line == line) {
-      return w;
-    }
-  }
-  return -1;
+  return sets_.find(physical_set, line, spec.first_way, spec.num_ways);
 }
 
 template <typename Memory>
 std::uint64_t BasicPartitionedLlc<Memory>::free_ways_mask(
     const PartitionSpec& spec, int physical_set) const {
-  return ~set_at(physical_set).valid_mask() &
+  return ~sets_.valid_mask(physical_set) &
          ~set_state_at(physical_set).frozen &
          mem::way_range_mask(spec.first_way, spec.num_ways);
 }
@@ -190,7 +161,7 @@ BasicPartitionedLlc<Memory>::contention(const Route& route,
       std::popcount(state.pending_cores & route.cores),
       std::popcount(free_ways_mask(route.spec, physical_set)) +
           std::popcount(leaving),
-      set_at(physical_set).valid_mask() & range & ~leaving};
+      sets_.valid_mask(physical_set) & range & ~leaving};
 }
 
 template <typename Memory>
@@ -204,14 +175,13 @@ BasicPartitionedLlc<Memory>::recount_contention(const Route& route,
       ++counted.demand;
     }
   }
-  const mem::CacheSet& set = set_at(physical_set);
   const SetState& state = set_state_at(physical_set);
   for (int w = route.spec.first_way;
        w < route.spec.first_way + route.spec.num_ways; ++w) {
     // Outstanding acks are the per-entry witness of a pending invalidation.
     const bool leaving = entry_state(physical_set, w).pending_acks > 0 ||
                          has_way(state.draining, w);
-    if (!set.way(w).valid()) {
+    if (!sets_.way(physical_set, w).valid()) {
       counted.supply += has_way(state.frozen, w) ? 0 : 1;
     } else if (leaving) {
       ++counted.supply;
@@ -263,7 +233,6 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
               "mapped set " << pset << " escapes partition " << pid << " "
                             << spec.to_string());
   const SetKey key{pid, pset};
-  mem::CacheSet& set = set_at(pset);
   SetState& set_state = set_state_at(pset);
 
   auto& pending = pending_[static_cast<std::size_t>(core.value)];
@@ -280,7 +249,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
   const int hit_way = find_way_raw(spec, pset, line);
   if (hit_way >= 0 &&
       !has_way(set_state.pending_inval | set_state.draining, hit_way)) {
-    set.touch(hit_way);
+    sets_.touch(pset, hit_way);
     if (!directory_.is_shared_by(line, core)) {
       directory_.add_sharer(line, core);
     }
@@ -315,7 +284,7 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
       PSLLC_AUDIT(spec.contains_way(way),
                   "allocated way " << way << " escapes partition " << pid
                                    << " " << spec.to_string());
-      set.insert(line, way, mem::LineState::kClean);
+      sets_.insert(pset, line, way, mem::LineState::kClean);
       directory_.add_sharer(line, core);
       // Fetch from the backing store; latency is absorbed by the slot
       // (validated by the system configuration against the backend's
@@ -365,21 +334,22 @@ RequestOutcome BasicPartitionedLlc<Memory>::handle_request(CoreId core,
     if (counts.evictable == 0) {
       break;  // every line is already being evicted
     }
-    const int victim = set.select_victim(counts.evictable);
+    const int victim = sets_.select_victim(pset, counts.evictable);
     PSLLC_ASSERT(victim >= 0, "victim selection failed with eligible ways");
     PSLLC_AUDIT(spec.contains_way(victim),
                 "victim way " << victim << " escapes partition " << pid << " "
                               << spec.to_string());
-    const LineAddr victim_line = set.way(victim).line;
+    const mem::LineMeta victim_meta = sets_.way(pset, victim);
+    const LineAddr victim_line = victim_meta.line;
     const CoreMask owners(directory_.sharer_mask(victim_line));
     ++stats_.evictions_started;
     if (owners.empty()) {
       // No private copies: the entry is reusable within this slot; dirty
       // data drains to DRAM off the critical path.
-      if (set.way(victim).dirty()) {
+      if (victim_meta.dirty()) {
         (void)memory_->write(victim_line, now);
       }
-      set.invalidate(victim);
+      sets_.invalidate(pset, victim);
       ++stats_.immediate_frees;
       continue;  // re-check allocation with the freed way
     }
@@ -456,7 +426,7 @@ WritebackOutcome BasicPartitionedLlc<Memory>::handle_writeback(
   PSLLC_ASSERT(removed, to_string(core) << " wrote back line 0x" << std::hex
                                         << line << " it did not share");
   if (carries_dirty_data) {
-    set_at(pset).mark_dirty(way);
+    sets_.mark_dirty(pset, way);
   }
   return WritebackOutcome{false};
 }
@@ -491,9 +461,8 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   PSLLC_ASSERT(removed, to_string(core)
                             << " acked line 0x" << std::hex << line
                             << " it did not share");
-  mem::CacheSet& set = set_at(pset);
   if (dirty_data) {
-    set.mark_dirty(way);
+    sets_.mark_dirty(pset, way);
   }
   --state.pending_acks;
   if (state.pending_acks > 0) {
@@ -505,10 +474,10 @@ WritebackOutcome BasicPartitionedLlc<Memory>::apply_back_inval_ack(
   if (has_way(set_state.draining, way)) {
     free_drained_entry(pset, way, now);
   } else {
-    if (set.way(way).dirty()) {
+    if (sets_.way(pset, way).dirty()) {
       (void)memory_->write(line, now);
     }
-    set.invalidate(way);
+    sets_.invalidate(pset, way);
     clear_entry_marks(pset, way);
   }
   return WritebackOutcome{true};
@@ -548,8 +517,7 @@ void BasicPartitionedLlc<Memory>::drop_pending_request(CoreId core) {
 template <typename Memory>
 typename BasicPartitionedLlc<Memory>::EntryView
 BasicPartitionedLlc<Memory>::entry(int physical_set, int way) const {
-  const mem::CacheSet& set = set_at(physical_set);
-  const mem::LineMeta& meta = set.way(way);
+  const mem::LineMeta meta = sets_.way(physical_set, way);
   EntryView view;
   view.valid = meta.valid();
   if (view.valid) {
@@ -605,8 +573,8 @@ void BasicPartitionedLlc<Memory>::preload(LineAddr line,
                "preload of already-present line");
   const int way = find_free_way(spec, pset);
   PSLLC_ASSERT(way >= 0, "preload into a full set");
-  set_at(pset).insert(line, way,
-                      dirty ? mem::LineState::kDirty : mem::LineState::kClean);
+  sets_.insert(pset, line, way,
+               dirty ? mem::LineState::kDirty : mem::LineState::kClean);
   for (CoreId c : sharers) {
     PSLLC_ASSERT(partitions().partition_of(c) == pid,
                  "preload sharers must share one partition");
@@ -620,7 +588,7 @@ template <typename Memory>
 std::pair<int, int> BasicPartitionedLlc<Memory>::locate_line(
     LineAddr line) const {
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    const int w = set_at(s).find(line);
+    const int w = sets_.find(s, line);
     if (w >= 0) {
       return {s, w};
     }
@@ -631,7 +599,7 @@ std::pair<int, int> BasicPartitionedLlc<Memory>::locate_line(
 template <typename Memory>
 bool BasicPartitionedLlc<Memory>::entry_compatible(int physical_set,
                                                    int way) const {
-  const mem::LineMeta& meta = set_at(physical_set).way(way);
+  const mem::LineMeta meta = sets_.way(physical_set, way);
   PSLLC_ASSERT(meta.valid(), "compatibility check on an invalid entry");
   const PartitionMap& map = partitions();
   for (int p = 0; p < map.num_partitions(); ++p) {
@@ -717,7 +685,7 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
   drain_remaining_ = 0;
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (!set_at(s).way(w).valid() || entry_compatible(s, w)) {
+      if (!sets_.way(s, w).valid() || entry_compatible(s, w)) {
         continue;
       }
       set_state_at(s).draining |= std::uint64_t{1} << w;
@@ -725,7 +693,7 @@ void BasicPartitionedLlc<Memory>::begin_transition(Cycle slot_start) {
       // only adopts them (drain_issued stays false — their owners were
       // charged by the original eviction, not the drain serializer).
       drain_queue_.emplace_back(s, w);
-      draining_lines_.push_back(set_at(s).way(w).line);
+      draining_lines_.push_back(sets_.way(s, w).line);
       ++drain_remaining_;
     }
   }
@@ -755,15 +723,15 @@ template <typename Memory>
 void BasicPartitionedLlc<Memory>::pump_drain(
     Cycle slot_start, std::vector<BackInvalidation>& out) {
   for (const auto& [s, w] : drain_queue_) {
-    const mem::CacheSet& set = set_at(s);
+    const mem::LineMeta meta = sets_.way(s, w);
     SetState& set_state = set_state_at(s);
-    if (!set.way(w).valid() || !has_way(set_state.draining, w)) {
+    if (!meta.valid() || !has_way(set_state.draining, w)) {
       continue;  // already freed by an earlier ack or pump
     }
     if (has_way(set_state.pending_inval, w)) {
       continue;  // invalidation in flight (drain-issued or pre-transition)
     }
-    const LineAddr line = set.way(w).line;
+    const LineAddr line = meta.line;
     const CoreMask owners(directory_.sharer_mask(line));
     if (owners.empty()) {
       // No private copies: free within this slot; dirty data drains
@@ -798,9 +766,9 @@ void BasicPartitionedLlc<Memory>::pump_drain(
 template <typename Memory>
 void BasicPartitionedLlc<Memory>::free_drained_entry(int physical_set,
                                                      int way, Cycle now) {
-  mem::CacheSet& set = set_at(physical_set);
-  const LineAddr line = set.way(way).line;
-  if (set.way(way).dirty()) {
+  const mem::LineMeta meta = sets_.way(physical_set, way);
+  const LineAddr line = meta.line;
+  if (meta.dirty()) {
     (void)memory_->write(line, now);
     ++stats_.drain_writebacks;
     // Drain write-backs go through the same bounded write queue as demand
@@ -811,7 +779,7 @@ void BasicPartitionedLlc<Memory>::free_drained_entry(int physical_set,
                     << memory_->pending_queue_depth() << " > "
                     << memory_->config().wq_capacity);
   }
-  set.invalidate(way);
+  sets_.invalidate(physical_set, way);
   clear_entry_marks(physical_set, way);
   const auto it =
       std::lower_bound(draining_lines_.begin(), draining_lines_.end(), line);
@@ -839,12 +807,12 @@ void BasicPartitionedLlc<Memory>::complete_transition(Cycle slot_start) {
   // still in flight) sits inside its current mode's rectangle.
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
     for (int w = 0; w < config_.geometry.num_ways; ++w) {
-      if (!set_at(s).way(w).valid() ||
+      if (!sets_.way(s, w).valid() ||
           has_way(set_state_at(s).pending_inval, w)) {
         continue;
       }
       PSLLC_AUDIT(entry_compatible(s, w),
-                  "line 0x" << std::hex << set_at(s).way(w).line << std::dec
+                  "line 0x" << std::hex << sets_.way(s, w).line << std::dec
                             << " at set " << s << " way " << w
                             << " outside its mode-" << mode_index_
                             << " rectangle after the drain fence");
@@ -874,10 +842,9 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
   }
   int draining_ways = 0;
   for (int s = 0; s < config_.geometry.num_sets; ++s) {
-    const mem::CacheSet& set = set_at(s);
     const SetState& set_state = set_state_at(s);
     const std::uint64_t leaving = set_state.pending_inval | set_state.draining;
-    PSLLC_ASSERT((leaving & ~set.valid_mask()) == 0,
+    PSLLC_ASSERT((leaving & ~sets_.valid_mask(s)) == 0,
                  "invalid entry with pending eviction state at set " << s);
     PSLLC_ASSERT(
         (set_state.draining & ~drain_listed[static_cast<std::size_t>(s)]) ==
@@ -892,9 +859,9 @@ void BasicPartitionedLlc<Memory>::check_invariants() const {
         PSLLC_ASSERT(state.pending_acks > 0,
                      "pending invalidation without outstanding acks");
         PSLLC_ASSERT(state.pending_acks ==
-                         directory_.sharer_count(set.way(w).line),
+                         directory_.sharer_count(sets_.way(s, w).line),
                      "pending_acks diverged from directory sharers for "
-                     "line 0x" << std::hex << set.way(w).line);
+                     "line 0x" << std::hex << sets_.way(s, w).line);
       } else {
         PSLLC_ASSERT(state.pending_acks == 0,
                      "acks outstanding without pending invalidation at set "
@@ -968,10 +935,7 @@ void BasicPartitionedLlc<Memory>::adopt_solo_lane(
   const PartitionSpec& spec = route_of(core).spec;
   // Composition is gated on set-disjoint partitions, so the whole set rows
   // of `core`'s partition belong to this lane alone.
-  for (int s = spec.first_set; s < spec.first_set + spec.num_sets; ++s) {
-    sets_[static_cast<std::size_t>(s)] =
-        solo.sets_[static_cast<std::size_t>(s)];
-  }
+  sets_.copy_sets(solo.sets_, spec.first_set, spec.num_sets);
   // The rows' per-set masks come along, pending-core bits included: the
   // only pending request in them is `core`'s.
   std::copy_n(solo.set_states_.begin() + spec.first_set, spec.num_sets,

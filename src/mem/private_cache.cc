@@ -32,59 +32,51 @@ PrivateCacheHierarchy::PrivateCacheHierarchy(const PrivateCacheConfig& config,
 HitLevel PrivateCacheHierarchy::access(Addr addr, AccessType type) {
   const LineAddr line = config_.l2.line_of(addr);
   SetAssocCache& l1 = l1_for(type);
-  if (l1.access(line, is_write(type))) {
+  // access() updates hit/miss counters and recency internally.
+  const Lookup l1_at = l1.access(line, is_write(type));
+  if (l1_at.hit()) {
     ++l1_hits_;
     return HitLevel::kL1;
   }
-  const int l2_way = [&] {
-    // access() updates hit/miss counters and recency internally.
-    return l2_.access(line, /*write=*/false) ? 1 : -1;
-  }();
-  if (l2_way < 0) {
+  if (!l2_.access(line, /*write=*/false).hit()) {
     ++misses_;
     return HitLevel::kMiss;
   }
   ++l2_hits_;
-  // Promote into L1; the L1 copy carries the store's dirtiness.
-  fill_l1(l1, line, is_write(type));
+  // Promote into L1 at the miss's lookup; the L1 copy carries the store's
+  // dirtiness.
+  fill_l1(l1, l1_at, is_write(type));
   return HitLevel::kL2;
 }
 
 std::optional<Evicted> PrivateCacheHierarchy::fill(Addr addr, AccessType type,
                                                    bool write) {
   const LineAddr line = config_.l2.line_of(addr);
-  PSLLC_ASSERT(!l2_.contains(line),
-               "fill for line 0x" << std::hex << line
-                                  << " already resident in L2");
   // 1. Install in L2 (clean: dirtiness lives in the L1 copy until eviction).
+  //    The fill's one lookup asserts the line was not resident.
   std::optional<Evicted> l2_victim = l2_.fill(line, /*dirty=*/false);
   if (l2_victim) {
     // Inclusion: purge the victim from both L1s and merge dirtiness.
-    if (auto v = l1i_.remove(l2_victim->line)) {
+    if (auto v = purge(l1i_, l2_victim->line)) {
       l2_victim->dirty = l2_victim->dirty || v->dirty;
     }
-    if (auto v = l1d_.remove(l2_victim->line)) {
+    if (auto v = purge(l1d_, l2_victim->line)) {
       l2_victim->dirty = l2_victim->dirty || v->dirty;
     }
   }
   // 2. Install in the requesting L1.
-  fill_l1(l1_for(type), line, write);
+  SetAssocCache& l1 = l1_for(type);
+  fill_l1(l1, l1.lookup(line), write);
   return l2_victim;
 }
 
 ForcedEviction PrivateCacheHierarchy::force_evict(LineAddr line) {
   ForcedEviction result;
-  if (auto v = l1i_.remove(line)) {
-    result.was_present = true;
-    result.was_dirty = result.was_dirty || v->dirty;
-  }
-  if (auto v = l1d_.remove(line)) {
-    result.was_present = true;
-    result.was_dirty = result.was_dirty || v->dirty;
-  }
-  if (auto v = l2_.remove(line)) {
-    result.was_present = true;
-    result.was_dirty = result.was_dirty || v->dirty;
+  for (SetAssocCache* level : {&l1i_, &l1d_, &l2_}) {
+    if (auto v = purge(*level, line)) {
+      result.was_present = true;
+      result.was_dirty = result.was_dirty || v->dirty;
+    }
   }
   return result;
 }
@@ -118,17 +110,28 @@ bool PrivateCacheHierarchy::check_inclusion() const {
   return true;
 }
 
-void PrivateCacheHierarchy::fill_l1(SetAssocCache& l1, LineAddr line,
+std::optional<Evicted> PrivateCacheHierarchy::purge(SetAssocCache& level,
+                                                    LineAddr line) {
+  if (level.valid_lines() == 0) {
+    PSLLC_AUDIT(level.store().count_valid_lines() == 0,
+                "skipped a cache level whose running count says empty but "
+                "which holds " << level.store().count_valid_lines()
+                               << " lines");
+    return std::nullopt;
+  }
+  return level.remove(line);
+}
+
+void PrivateCacheHierarchy::fill_l1(SetAssocCache& l1, const Lookup& at,
                                     bool dirty) {
-  const std::optional<Evicted> l1_victim = l1.fill(line, dirty);
+  const std::optional<Evicted> l1_victim = l1.fill(at, dirty);
   if (l1_victim && l1_victim->dirty) {
     // Inclusive L2 must hold the victim; absorb its dirtiness locally (no
     // bus traffic: L1<->L2 transfers are core-private).
-    PSLLC_ASSERT(l2_.contains(l1_victim->line),
-                 "inclusion violated: L1 victim 0x" << std::hex
-                                                    << l1_victim->line
-                                                    << " absent from L2");
-    l2_.access(l1_victim->line, /*write=*/true);
+    const bool in_l2 = l2_.access(l1_victim->line, /*write=*/true).hit();
+    PSLLC_ASSERT(in_l2, "inclusion violated: L1 victim 0x"
+                            << std::hex << l1_victim->line
+                            << " absent from L2");
   }
 }
 

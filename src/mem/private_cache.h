@@ -105,8 +105,13 @@ class PrivateCacheHierarchy {
     return type == AccessType::kIfetch ? l1i_ : l1d_;
   }
 
-  /// Fills `line` into the given L1, merging any dirty L1 victim into L2.
-  void fill_l1(SetAssocCache& l1, LineAddr line, bool dirty);
+  /// Fills the line of `at` (the L1's own lookup of it, a miss) into the
+  /// given L1, merging any dirty L1 victim into L2.
+  void fill_l1(SetAssocCache& l1, const Lookup& at, bool dirty);
+
+  /// Removes `line` from `level` unless the level holds no lines at all
+  /// (data-only traces never fill L1I), reporting its metadata.
+  static std::optional<Evicted> purge(SetAssocCache& level, LineAddr line);
 
   PrivateCacheConfig config_;
   SetAssocCache l1i_;

@@ -1,111 +1,71 @@
 #include "mem/set_assoc_cache.h"
 
-#include "common/rng.h"
-
 namespace psllc::mem {
+
+namespace {
+
+/// `geometry` after validation, so the store is only built for a valid
+/// shape.
+const CacheGeometry& validated(const CacheGeometry& geometry) {
+  geometry.validate();
+  return geometry;
+}
+
+}  // namespace
 
 SetAssocCache::SetAssocCache(const CacheGeometry& geometry,
                              ReplacementKind replacement, std::uint64_t seed)
-    : geometry_(geometry) {
-  geometry_.validate();
-  sets_.reserve(static_cast<std::size_t>(geometry_.num_sets));
-  for (int s = 0; s < geometry_.num_sets; ++s) {
-    sets_.emplace_back(geometry_.num_ways, replacement,
-                       mix_seed(seed, static_cast<std::uint64_t>(s)));
-  }
-}
-
-bool SetAssocCache::contains(LineAddr line) const {
-  return set_for(line).find(line) >= 0;
-}
+    : geometry_(validated(geometry)),
+      store_(geometry_.num_sets, geometry_.num_ways, replacement, seed) {}
 
 bool SetAssocCache::is_dirty(LineAddr line) const {
-  const CacheSet& set = set_for(line);
-  const int way = set.find(line);
-  return way >= 0 && set.way(way).dirty();
+  const Lookup at = lookup(line);
+  return at.hit() && store_.way(at.set, at.way).dirty();
 }
 
-bool SetAssocCache::access(LineAddr line, bool write) {
-  CacheSet& set = set_for(line);
-  const int way = set.find(line);
-  if (way < 0) {
-    ++misses_;
-    return false;
-  }
-  ++hits_;
-  set.touch(way);
-  if (write) {
-    set.mark_dirty(way);
-  }
-  return true;
-}
-
-std::optional<Evicted> SetAssocCache::fill(LineAddr line, bool dirty) {
-  CacheSet& set = set_for(line);
-  PSLLC_ASSERT(set.find(line) < 0,
-               "fill of already-present line 0x" << std::hex << line);
+std::optional<Evicted> SetAssocCache::fill(const Lookup& at, bool dirty) {
+  PSLLC_ASSERT(!at.hit(),
+               "fill of already-present line 0x" << std::hex << at.line);
   std::optional<Evicted> victim;
-  int way = set.find_free();
+  int way = store_.find_free(at.set);
   if (way < 0) {
-    way = set.select_victim_any();
+    way = store_.select_victim_any(at.set);
     PSLLC_ASSERT(way >= 0, "full set must yield a victim");
-    const LineMeta old = set.invalidate(way);
+    const LineMeta old = store_.invalidate(at.set, way);
     victim = Evicted{old.line, old.dirty()};
   }
-  set.insert(line, way, dirty ? LineState::kDirty : LineState::kClean);
+  store_.place(at.set, at.line, way,
+               dirty ? LineState::kDirty : LineState::kClean);
   return victim;
 }
 
 std::optional<Evicted> SetAssocCache::remove(LineAddr line) {
-  CacheSet& set = set_for(line);
-  const int way = set.find(line);
-  if (way < 0) {
+  const Lookup at = lookup(line);
+  if (!at.hit()) {
     return std::nullopt;
   }
-  const LineMeta old = set.invalidate(way);
+  const LineMeta old = store_.invalidate(at.set, at.way);
   return Evicted{old.line, old.dirty()};
 }
 
 void SetAssocCache::mark_clean(LineAddr line) {
-  CacheSet& set = set_for(line);
-  const int way = set.find(line);
-  if (way >= 0) {
-    set.mark_clean(way);
+  const Lookup at = lookup(line);
+  if (at.hit()) {
+    store_.mark_clean(at.set, at.way);
   }
-}
-
-int SetAssocCache::valid_lines() const {
-  int count = 0;
-  for (const auto& set : sets_) {
-    count += set.valid_count();
-  }
-  return count;
 }
 
 std::vector<LineAddr> SetAssocCache::resident_lines() const {
   std::vector<LineAddr> lines;
-  for (const auto& set : sets_) {
-    for (const LineMeta& meta : set.lines()) {
+  for (int s = 0; s < store_.sets(); ++s) {
+    for (int w = 0; w < store_.ways(); ++w) {
+      const LineMeta meta = store_.way(s, w);
       if (meta.valid()) {
         lines.push_back(meta.line);
       }
     }
   }
   return lines;
-}
-
-const CacheSet& SetAssocCache::set_at(int index) const {
-  PSLLC_ASSERT(index >= 0 && index < geometry_.num_sets,
-               "set index " << index);
-  return sets_[static_cast<std::size_t>(index)];
-}
-
-CacheSet& SetAssocCache::set_for(LineAddr line) {
-  return sets_[static_cast<std::size_t>(geometry_.set_of(line))];
-}
-
-const CacheSet& SetAssocCache::set_for(LineAddr line) const {
-  return sets_[static_cast<std::size_t>(geometry_.set_of(line))];
 }
 
 }  // namespace psllc::mem

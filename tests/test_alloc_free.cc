@@ -1,7 +1,8 @@
 // The replay kernel's slot loop allocates nothing: every heap allocation of
 // a sim::replay() call belongs to its set-up (kernel, caches, buffers) or to
 // the metric fill, so doubling the horizon must not add a single one — not
-// even across partition-mode transitions.
+// even across partition-mode transitions. Set-up itself does not grow with
+// a cache's set count either.
 //
 // This suite is its own executable because it replaces the global
 // operator new/delete with counting versions; it is only built when no
@@ -17,6 +18,7 @@
 
 #include "core/system_config.h"
 #include "llc/partition.h"
+#include "mem/private_cache.h"
 #include "sim/replay.h"
 #include "sim/workload.h"
 
@@ -179,6 +181,22 @@ TEST(AllocFree, RepartitionSlotLoopDoesNotAllocate) {
   EXPECT_GT(full.result.metrics.llc_stats.drain_writebacks, 0);
   EXPECT_EQ(twice.allocations, once.allocations);
   EXPECT_EQ(full.allocations, once.allocations);
+}
+
+// Each cache level keeps all of its sets in one flat store, so building a
+// private hierarchy costs the same allocations whatever the L2 set count.
+std::int64_t hierarchy_allocations(int l2_sets) {
+  mem::PrivateCacheConfig config;
+  config.l2.num_sets = l2_sets;
+  const std::int64_t before = g_allocations.load();
+  { const mem::PrivateCacheHierarchy caches(config, 7); }
+  return g_allocations.load() - before;
+}
+
+TEST(AllocFree, PrivateHierarchyAllocationsIndependentOfSetCount) {
+  const std::int64_t small = hierarchy_allocations(16);
+  EXPECT_GT(small, 0);
+  EXPECT_EQ(hierarchy_allocations(4096), small);
 }
 
 // The counter itself works, so a zero difference above means something.

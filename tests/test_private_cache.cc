@@ -1,10 +1,18 @@
 // Tests for the per-core L1I/L1D + L2 hierarchy: hit levels, inclusion,
-// dirtiness merging, forced evictions.
+// dirtiness merging, forced evictions, and a step-by-step differential
+// check against a reference hierarchy for all five replacement policies.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/rng.h"
 #include "mem/private_cache.h"
+#include "reference_cache.h"
 
 namespace psllc::mem {
 namespace {
@@ -117,39 +125,175 @@ TEST(PrivateCache, CapacityLinesIsL2Capacity) {
   EXPECT_EQ(paper_caches.capacity_lines(), 64);
 }
 
-// Property: inclusion holds under arbitrary access/fill/evict interleaving.
-class PrivateCacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
+// --- property and differential tests over all five policies -------------------
 
+using reference::RefEvicted;
+using reference::ReferenceHierarchy;
+using reference::RefLevel;
+
+/// Data-only streams never fetch instructions, so L1I stays empty and every
+/// L2-victim purge and back-invalidation skips it; mixed streams fetch too.
+enum class Stream : std::uint8_t { kDataOnly, kMixed };
+
+using PropertyParam = std::tuple<ReplacementKind, Stream, std::uint64_t>;
+
+PrivateCacheConfig config_for(ReplacementKind kind) {
+  PrivateCacheConfig config = small_config();
+  config.replacement = kind;
+  return config;
+}
+
+/// One random step of a core's traffic: mostly accesses (filled on a miss,
+/// as a core fills the LLC's response), some back-invalidations, and in
+/// mixed streams instruction fetches over half the lines.
+struct Step {
+  enum class Kind : std::uint8_t { kAccess, kForceEvict } kind;
+  LineAddr line;
+  AccessType type;
+};
+
+Step random_step(Rng& rng, Stream stream) {
+  const LineAddr line = rng.next_below(64);
+  const double action = rng.next_double();
+  if (action < 0.7) {
+    return {Step::Kind::kAccess, line,
+            rng.next_bool(0.3) ? AccessType::kWrite : AccessType::kRead};
+  }
+  if (action < 0.85 || stream == Stream::kDataOnly) {
+    return {Step::Kind::kForceEvict, line, AccessType::kRead};
+  }
+  return {Step::Kind::kAccess, rng.next_below(32), AccessType::kIfetch};
+}
+
+class PrivateCacheProperty : public ::testing::TestWithParam<PropertyParam> {};
+
+// Inclusion holds under arbitrary access/fill/evict interleaving.
 TEST_P(PrivateCacheProperty, InclusionInvariantUnderRandomTraffic) {
-  PrivateCacheHierarchy caches(small_config(), GetParam());
-  Rng rng(GetParam());
+  const auto [kind, stream, seed] = GetParam();
+  PrivateCacheHierarchy caches(config_for(kind), seed);
+  Rng rng(seed);
   for (int step = 0; step < 3000; ++step) {
-    const LineAddr line = rng.next_below(64);
-    const Addr addr = addr_of_line(line);
-    const double action = rng.next_double();
-    if (action < 0.7) {
-      const auto type =
-          rng.next_bool(0.3) ? AccessType::kWrite : AccessType::kRead;
-      if (caches.access(addr, type) == HitLevel::kMiss) {
-        caches.fill(addr, type, is_write(type));
-      }
-    } else if (action < 0.85) {
-      caches.force_evict(line);
+    const Step next = random_step(rng, stream);
+    if (next.kind == Step::Kind::kForceEvict) {
+      caches.force_evict(next.line);
     } else {
-      const Addr iaddr = addr_of_line(rng.next_below(32));
-      if (caches.access(iaddr, AccessType::kIfetch) == HitLevel::kMiss) {
-        caches.fill(iaddr, AccessType::kIfetch, false);
+      const Addr addr = addr_of_line(next.line);
+      if (caches.access(addr, next.type) == HitLevel::kMiss) {
+        caches.fill(addr, next.type, is_write(next.type));
       }
     }
     ASSERT_TRUE(caches.check_inclusion()) << "at step " << step;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PrivateCacheProperty,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
-                         [](const auto& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
+HitLevel to_hit_level(RefLevel level) {
+  switch (level) {
+    case RefLevel::kL1: return HitLevel::kL1;
+    case RefLevel::kL2: return HitLevel::kL2;
+    case RefLevel::kMiss: return HitLevel::kMiss;
+  }
+  return HitLevel::kMiss;
+}
+
+std::vector<LineAddr> sorted_lines(const SetAssocCache& cache) {
+  std::vector<LineAddr> lines = cache.resident_lines();
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// Step by step against the reference hierarchy, which scans every level
+// on every operation: the same hit levels, L2 victims with the same merged
+// dirtiness, the same back-invalidation results, the same contents and
+// statistics. On data-only streams L1I must stay empty throughout, so the
+// skip path is what runs.
+TEST_P(PrivateCacheProperty, MatchesReferenceHierarchy) {
+  const auto [kind, stream, seed] = GetParam();
+  const PrivateCacheConfig config = config_for(kind);
+  PrivateCacheHierarchy caches(config, seed);
+  ReferenceHierarchy model(config.l1i, config.l1d, config.l2, kind, seed);
+  Rng rng(seed * 7 + 1);
+  int fills = 0;
+  int l2_victims = 0;
+  int dirty_victims = 0;
+  int forced_present = 0;
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const Step next = random_step(rng, stream);
+    if (next.kind == Step::Kind::kForceEvict) {
+      const ForcedEviction got = caches.force_evict(next.line);
+      const auto [present, dirty] = model.force_evict(next.line);
+      ASSERT_EQ(got.was_present, present);
+      ASSERT_EQ(got.was_dirty, dirty);
+      forced_present += present ? 1 : 0;
+    } else {
+      const Addr addr = addr_of_line(next.line);
+      const HitLevel level = caches.access(addr, next.type);
+      ASSERT_EQ(level, to_hit_level(model.access(next.line, next.type)));
+      if (level == HitLevel::kMiss) {
+        const std::optional<Evicted> got =
+            caches.fill(addr, next.type, is_write(next.type));
+        const std::optional<RefEvicted> want =
+            model.fill(next.line, next.type, is_write(next.type));
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (got) {
+          ASSERT_EQ(got->line, want->line);
+          ASSERT_EQ(got->dirty, want->dirty);
+          ++l2_victims;
+          dirty_victims += got->dirty ? 1 : 0;
+        }
+        ++fills;
+      }
+    }
+    if (stream == Stream::kDataOnly) {
+      ASSERT_EQ(caches.l1i().valid_lines(), 0);
+    }
+    ASSERT_EQ(caches.l1i().valid_lines(),
+              caches.l1i().store().count_valid_lines());
+    ASSERT_EQ(caches.l1d().valid_lines(),
+              caches.l1d().store().count_valid_lines());
+    ASSERT_EQ(caches.l2().valid_lines(),
+              caches.l2().store().count_valid_lines());
+    if (step % 64 == 0) {
+      ASSERT_EQ(sorted_lines(caches.l1i()), model.l1i().lines());
+      ASSERT_EQ(sorted_lines(caches.l1d()), model.l1d().lines());
+      ASSERT_EQ(sorted_lines(caches.l2()), model.l2().lines());
+    }
+  }
+  EXPECT_EQ(caches.l1_hits(), model.l1_hits());
+  EXPECT_EQ(caches.l2_hits(), model.l2_hits());
+  EXPECT_EQ(caches.misses(), model.misses());
+  EXPECT_EQ(caches.l1i().hits(), model.l1i().hits());
+  EXPECT_EQ(caches.l1i().misses(), model.l1i().misses());
+  EXPECT_EQ(caches.l1d().hits(), model.l1d().hits());
+  EXPECT_EQ(caches.l1d().misses(), model.l1d().misses());
+  EXPECT_EQ(caches.l2().hits(), model.l2().hits());
+  EXPECT_EQ(caches.l2().misses(), model.l2().misses());
+  // The streams really exercised the paths compared above.
+  EXPECT_GT(fills, 100);
+  EXPECT_GT(l2_victims, 50);
+  EXPECT_GT(dirty_victims, 10);
+  EXPECT_GT(forced_present, 20);
+  if (stream == Stream::kMixed) {
+    EXPECT_GT(caches.l1i().hits(), 0);
+  }
+}
+
+const auto kAllKinds =
+    ::testing::Values(ReplacementKind::kLru, ReplacementKind::kFifo,
+                      ReplacementKind::kRandom, ReplacementKind::kNmru,
+                      ReplacementKind::kTreePlru);
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesStreamsSeeds, PrivateCacheProperty,
+    ::testing::Combine(kAllKinds,
+                       ::testing::Values(Stream::kDataOnly, Stream::kMixed),
+                       ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8)),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == Stream::kDataOnly ? "_data"
+                                                           : "_mixed") +
+             "_seed" + std::to_string(std::get<2>(info.param));
+    });
 
 }  // namespace
 }  // namespace psllc::mem
